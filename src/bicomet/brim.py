@@ -11,16 +11,16 @@ per-sweep monotonicity of the optimizer holds with no floating-point slack.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InputError
 from .graph import BLUE, RED, BipartiteGraph
 from .seeding import STREAM_BRIM_ADAPT, STREAM_BRIM_RUN, derive_seed
+from .table import read_rows, write_rows
 
 _Q_IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 200
@@ -394,50 +394,40 @@ def adapt_module_count(
     return best
 
 
-def write_partition_csv(partition: Partition, path, delimiter: str = ",") -> None:
+def write_partition_csv(partition: Partition, path) -> None:
     """Write `node_id,side,community` rows (red nodes first), with header."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(["node_id", "side", "community"])
-        for node, label in zip(partition.red_nodes, partition.red_labels):
-            writer.writerow([node, RED, label])
-        for node, label in zip(partition.blue_nodes, partition.blue_labels):
-            writer.writerow([node, BLUE, label])
+    red = zip(partition.red_nodes, repeat(RED), partition.red_labels)
+    blue = zip(partition.blue_nodes, repeat(BLUE), partition.blue_labels)
+    write_rows(path, ["node_id", "side", "community"], chain(red, blue))
 
 
-def read_partition_csv(path, delimiter: str = ",") -> Partition:
-    path = Path(path)
+def read_partition_csv(path) -> Partition:
+    """Read a partition file; InputError with file:line on a malformed row."""
     red_nodes, blue_nodes, red_labels, blue_labels = [], [], [], []
-    try:
-        handle = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if lineno == 1 and cells[0] == "node_id":
-                continue
-            if len(cells) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields")
-            node, side, label = cells
-            try:
-                label = int(label)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad community {label!r}") from None
-            if label < 0:
-                raise InputError(f"{path}:{lineno}: negative community {label}")
-            if side == RED:
-                red_nodes.append(node)
-                red_labels.append(label)
-            elif side == BLUE:
-                blue_nodes.append(node)
-                blue_labels.append(label)
-            else:
-                raise InputError(f"{path}:{lineno}: unknown side {side!r}")
+    seen = set()
+    for lineno, cells in read_rows(path):
+        if lineno == 1 and cells[0] == "node_id":
+            continue
+        if len(cells) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 fields")
+        node, side, label = cells
+        try:
+            label = int(label)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad community {label!r}") from None
+        if label < 0:
+            raise InputError(f"{path}:{lineno}: negative community {label}")
+        if node in seen:
+            raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
+        seen.add(node)
+        if side == RED:
+            red_nodes.append(node)
+            red_labels.append(label)
+        elif side == BLUE:
+            blue_nodes.append(node)
+            blue_labels.append(label)
+        else:
+            raise InputError(f"{path}:{lineno}: unknown side {side!r}")
     if not red_nodes and not blue_nodes:
         raise InputError(f"empty partition file: {path}")
     return Partition.from_arrays(red_nodes, blue_nodes, red_labels, blue_labels)

@@ -6,14 +6,13 @@ keys can be overridden by flags.  Defaults reproduce the standard protocol:
 union population rule.  Every command is deterministic given the
 configuration and master seed, byte for byte, serial or parallel.
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input or I/O error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import logging
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import brim, enrichment, metrics, synth, tracker
+from . import brim, enrichment, metrics, synth, table, tracker
 from .errors import InputError
 from .graph import load_period_series
 from .seeding import STREAM_DETECT_PERIOD, derive_seed
@@ -205,58 +204,64 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
     with (out / "run_summary.json").open("w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    with (out / "community_counts.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["period", "mean_communities", "std_communities", "best_communities"]
-        )
-        for period, mean, std, best_count in count_rows:
-            writer.writerow([period, repr(mean), repr(std), best_count])
+    table.write_rows(
+        out / "community_counts.csv",
+        ["period", "mean_communities", "std_communities", "best_communities"],
+        (
+            [period, repr(mean), repr(std), best_count]
+            for period, mean, std, best_count in count_rows
+        ),
+    )
     return summary
 
 
-def _load_run_partitions(out: Path, period: str):
-    pdir = _partition_dir(out, period)
-    paths = sorted(pdir.glob("run_*.csv"))
-    if not paths:
-        raise InputError(f"no run partitions under {pdir}; run detect first")
-    return [brim.read_partition_csv(p) for p in paths]
+def _detected_runs(out: Path) -> dict[str, list[str]]:
+    """Run file names per period of the last detect, from run_summary.json.
+
+    Downstream commands read only what this lists, so partitions left over
+    from an earlier detect with more runs or other periods are ignored.
+    """
+    path = out / "run_summary.json"
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        runs = {
+            period: [f"run_{run['run_id']:03d}.csv" for run in entry["runs"]]
+            for period, entry in summary.items()
+        }
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}; run detect first") from exc
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InputError(f"malformed {path}: {exc!r}") from exc
+    if not runs:
+        raise InputError(f"{path} lists no periods; run detect first")
+    return dict(sorted(runs.items()))
 
 
 def _load_best_sequence(out: Path):
-    base = out / "partitions"
-    if not base.is_dir():
-        raise InputError(f"no partitions under {base}; run detect first")
-    sequence = []
-    for pdir in sorted(base.iterdir()):
-        best = pdir / "best.csv"
-        if pdir.is_dir() and best.exists():
-            sequence.append((pdir.name, brim.read_partition_csv(best)))
-    if not sequence:
-        raise InputError(f"no best partitions under {base}; run detect first")
-    return sequence
+    return [
+        (period, brim.read_partition_csv(_partition_dir(out, period) / "best.csv"))
+        for period in _detected_runs(out)
+    ]
 
 
 def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
     """Agreement among the detection runs of each period, over all pairs."""
     out = _out_dir(cfg)
-    base = out / "partitions"
-    if not base.is_dir():
-        raise InputError(f"no partitions under {base}; run detect first")
     rows = []
-    for pdir in sorted(p for p in base.iterdir() if p.is_dir()):
-        partitions = _load_run_partitions(out, pdir.name)
-        if len(partitions) < 2:
+    for period, names in _detected_runs(out).items():
+        if len(names) < 2:
             raise InputError(
-                f"period {pdir.name}: need at least 2 runs for agreement statistics"
+                f"period {period}: need at least 2 runs for agreement statistics"
             )
+        pdir = _partition_dir(out, period)
+        partitions = [brim.read_partition_csv(pdir / name) for name in names]
         mean, std, pairs = metrics.all_pairs_ari(partitions)
-        rows.append((pdir.name, mean, std, pairs))
-    with (out / "ari.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period", "mean_ari", "std_ari", "pairs"])
-        for period, mean, std, pairs in rows:
-            writer.writerow([period, repr(mean), repr(std), pairs])
+        rows.append((period, mean, std, pairs))
+    table.write_rows(
+        out / "ari.csv",
+        ["period", "mean_ari", "std_ari", "pairs"],
+        ([period, repr(mean), repr(std), pairs] for period, mean, std, pairs in rows),
+    )
     return rows
 
 
@@ -534,7 +539,7 @@ def main(argv=None) -> int:
             elif args.command == "pipeline":
                 cmd_pipeline(cfg)
         return 0
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: invariant violations

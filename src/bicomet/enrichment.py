@@ -11,16 +11,15 @@ communities.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .brim import Partition
 from .errors import InputError
 from .graph import BLUE, RED
 from .stats import HypergeomParams, overlap_pvalue
+from .table import read_rows, write_rows
 
 SCOPE_CARRIERS = "carriers"
 SCOPE_SIDE = "side"
@@ -66,27 +65,15 @@ class AttributeCatalog:
         return sum(len(v) for v in self._by_category.values())
 
 
-def load_attribute_catalog(path, delimiter: str = ",", header: bool = False) -> AttributeCatalog:
+def load_attribute_catalog(path) -> AttributeCatalog:
     """Read `node_id,category,value` rows into a catalog."""
-    path = Path(path)
     rows = []
-    try:
-        handle = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if header and lineno == 1:
-                continue
-            if lineno == 1 and cells[:2] == ["node_id", "category"]:
-                continue
-            if len(cells) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields")
-            rows.append((cells[0], cells[1], cells[2]))
+    for lineno, cells in read_rows(path):
+        if lineno == 1 and cells[:2] == ["node_id", "category"]:
+            continue
+        if len(cells) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 fields")
+        rows.append((cells[0], cells[1], cells[2]))
     if not rows:
         raise InputError(f"empty attribute catalog: {path}")
     return AttributeCatalog(rows)
@@ -174,7 +161,7 @@ def test_overexpression(
         raise InputError("empty attribute catalog")
 
     prepared = []
-    total_values = 0
+    value_counts = []
     for category in catalog.categories:
         assigned = catalog.assignments(category)
         carriers = {n: v for n, v in assigned.items() if n in partition_nodes}
@@ -191,13 +178,15 @@ def test_overexpression(
         else:
             population_nodes = side_nodes
         values = sorted(set(carriers.values()))
-        total_values += len(values)
+        value_counts.append(len(values))
         global_counts = Counter(
             carriers[n] for n in population_nodes if n in carriers
         )
         prepared.append((category, carriers, population_nodes, values, global_counts))
 
-    threshold = config.p_univariate / (total_values * partition.n_communities)
+    threshold = enrichment_threshold(
+        config.p_univariate, *value_counts, partition.n_communities
+    )
 
     records = []
     for community in range(partition.n_communities):
@@ -261,48 +250,41 @@ def community_report(
 
 
 def write_enrichment_records(records: Sequence[EnrichmentRecord], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
+    write_rows(
+        path,
+        [
+            "period",
+            "community",
+            "category",
+            "value",
+            "count_in_community",
+            "community_population",
+            "global_count",
+            "global_population",
+            "p_value",
+            "validated",
+        ],
+        (
             [
-                "period",
-                "community",
-                "category",
-                "value",
-                "count_in_community",
-                "community_population",
-                "global_count",
-                "global_population",
-                "p_value",
-                "validated",
+                r.period,
+                r.community,
+                r.category,
+                r.value,
+                r.count_in_community,
+                r.community_population,
+                r.global_count,
+                r.global_population,
+                repr(r.p_value),
+                str(r.validated).lower(),
             ]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.period,
-                    r.community,
-                    r.category,
-                    r.value,
-                    r.count_in_community,
-                    r.community_population,
-                    r.global_count,
-                    r.global_population,
-                    repr(r.p_value),
-                    str(r.validated).lower(),
-                ]
-            )
+            for r in records
+        ),
+    )
 
 
 def write_enrichment_report(rows: Sequence[dict], path) -> None:
-    path = Path(path)
     categories = sorted(
         {k for row in rows for k in row if k not in ("period", "community", "n_red", "n_blue")}
     )
     header = ["period", "community", "n_red", "n_blue", *categories]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(col, NONE_MARKER) for col in header])
+    write_rows(path, header, ([row.get(col, NONE_MARKER) for col in header] for row in rows))

@@ -8,14 +8,15 @@ reproducible across runs and machines.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
+from .table import read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +40,6 @@ class BipartiteGraph:
         "red_degrees",
         "blue_degrees",
         "duplicates_dropped",
-        "_red_index",
-        "_blue_index",
     )
 
     def __init__(self, edges, red_nodes=(), blue_nodes=()):
@@ -113,8 +112,6 @@ class BipartiteGraph:
         self.red_degrees = red_deg
         self.blue_degrees = blue_deg
         self.duplicates_dropped = dropped
-        self._red_index = red_index
-        self._blue_index = blue_index
 
     @property
     def n_red(self) -> int:
@@ -134,13 +131,6 @@ class BipartiteGraph:
             (self.red_nodes[r], self.blue_nodes[b])
             for r, b in zip(self.edge_red.tolist(), self.edge_blue.tolist())
         ]
-
-    def side_of(self, node: str) -> str | None:
-        if node in self._red_index:
-            return RED
-        if node in self._blue_index:
-            return BLUE
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
@@ -180,29 +170,11 @@ def degree_sequences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
     return graph.red_degrees.copy(), graph.blue_degrees.copy()
 
 
-def _read_rows(path, delimiter: str, header: bool):
-    """Yield (line_number, row) for non-blank CSV rows, skipping a header."""
-    path = Path(path)
-    try:
-        handle = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if header and lineno == 1:
-                continue
-            yield lineno, cells
-
-
 def load_node_list(path, delimiter: str = ",", header: bool = False):
     """Read a `node_id,side` file; returns (red_ids, blue_ids) in file order."""
     red: list[str] = []
     blue: list[str] = []
-    for lineno, cells in _read_rows(path, delimiter, header):
+    for lineno, cells in read_rows(path, delimiter, header):
         if len(cells) != 2:
             raise InputError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
         node, side = cells
@@ -235,7 +207,7 @@ def load_edge_list(
         red_nodes, blue_nodes = load_node_list(node_list_path, delimiter, header)
 
     edges = []
-    for lineno, cells in _read_rows(path, delimiter, header):
+    for lineno, cells in read_rows(path, delimiter, header):
         if len(cells) != 2:
             raise InputError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
         edges.append((cells[0], cells[1]))
@@ -254,22 +226,14 @@ def load_edge_list(
     return graph
 
 
-def write_edge_list(graph: BipartiteGraph, path, delimiter: str = ",") -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        for r, b in graph.edge_list():
-            writer.writerow([r, b])
+def write_edge_list(graph: BipartiteGraph, path) -> None:
+    write_rows(path, None, graph.edge_list())
 
 
-def write_node_list(graph: BipartiteGraph, path, delimiter: str = ",") -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        for node in graph.red_nodes:
-            writer.writerow([node, RED])
-        for node in graph.blue_nodes:
-            writer.writerow([node, BLUE])
+def write_node_list(graph: BipartiteGraph, path) -> None:
+    red = zip(graph.red_nodes, repeat(RED))
+    blue = zip(graph.blue_nodes, repeat(BLUE))
+    write_rows(path, None, chain(red, blue))
 
 
 def save_graph(graph: BipartiteGraph, edges_path, nodes_path=None) -> None:
@@ -312,7 +276,7 @@ class PeriodGraphSeries:
         return self.periods[i]
 
 
-def load_period_series(manifest_path, delimiter: str = ",") -> PeriodGraphSeries:
+def load_period_series(manifest_path) -> PeriodGraphSeries:
     """Load a period series from a manifest of `period,edges[,nodes]` rows.
 
     Relative paths resolve against the manifest's directory.  A first row
@@ -320,7 +284,7 @@ def load_period_series(manifest_path, delimiter: str = ",") -> PeriodGraphSeries
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    rows = list(_read_rows(manifest_path, delimiter, header=False))
+    rows = list(read_rows(manifest_path))
     if rows and rows[0][1][0].lower() == "period":
         rows = rows[1:]
     if not rows:
@@ -334,6 +298,6 @@ def load_period_series(manifest_path, delimiter: str = ",") -> PeriodGraphSeries
         label = cells[0]
         edges_path = base / cells[1]
         nodes_path = base / cells[2] if len(cells) == 3 and cells[2] else None
-        graph = load_edge_list(edges_path, delimiter=delimiter, node_list_path=nodes_path)
+        graph = load_edge_list(edges_path, node_list_path=nodes_path)
         periods.append((label, graph))
     return PeriodGraphSeries(tuple(periods))

@@ -13,7 +13,6 @@ All randomness flows through counter-based Philox streams keyed by
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -31,6 +30,7 @@ from .seeding import (
     STREAM_SYNTH_EVENTS,
     generator,
 )
+from .table import write_rows
 
 ENUMERATION_CAP = 12
 
@@ -466,24 +466,26 @@ def exhaustive_modularity_oracle(
 
 def write_ground_truth(truths, labels, path) -> None:
     """CSV `node_id,period,true_community` for every period."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["node_id", "period", "true_community"])
-        for label, truth in zip(labels, truths):
-            for node, community in zip(truth.nodes, truth.labels):
-                writer.writerow([node, label, community])
+    write_rows(
+        path,
+        ["node_id", "period", "true_community"],
+        (
+            (node, label, community)
+            for label, truth in zip(labels, truths)
+            for node, community in zip(truth.nodes, truth.labels)
+        ),
+    )
 
 
 def write_lineage(lineage: Sequence[LineageEdge], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period_from", "community_from", "period_to", "community_to"])
-        for edge in lineage:
-            writer.writerow(
-                [edge.period_from, edge.community_from, edge.period_to, edge.community_to]
-            )
+    write_rows(
+        path,
+        ["period_from", "community_from", "period_to", "community_to"],
+        (
+            (edge.period_from, edge.community_from, edge.period_to, edge.community_to)
+            for edge in lineage
+        ),
+    )
 
 
 def write_synthetic_dataset(
@@ -507,16 +509,17 @@ def write_synthetic_dataset(
         save_graph(graph, outdir / edges_name, outdir / nodes_name)
         manifest_rows.append([label, edges_name, nodes_name])
     manifest_path = outdir / "manifest.csv"
-    with manifest_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period", "edges", "nodes"])
-        writer.writerows(manifest_rows)
+    write_rows(manifest_path, ["period", "edges", "nodes"], manifest_rows)
     write_ground_truth(truths, list(series.labels), outdir / "ground_truth.csv")
     write_lineage(lineage, outdir / "lineage.csv")
     if catalog is not None:
-        with (outdir / "attributes.csv").open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            for category in catalog.categories:
-                for node, value in sorted(catalog.assignments(category).items()):
-                    writer.writerow([node, category, value])
+        write_rows(
+            outdir / "attributes.csv",
+            None,
+            (
+                (node, category, value)
+                for category in catalog.categories
+                for node, value in sorted(catalog.assignments(category).items())
+            ),
+        )
     return manifest_path

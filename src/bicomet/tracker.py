@@ -9,16 +9,15 @@ pairs of all consecutive periods form a time-ordered evolution DAG.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .brim import Partition
 from .errors import InputError
 from .stats import HypergeomParams, bonferroni_threshold, overlap_pvalue
+from .table import read_rows, write_rows
 
 POPULATION_UNION = "union"
 POPULATION_INTERSECTION = "intersection"
@@ -338,43 +337,45 @@ def export_evolution(graph: EvolutionGraph, fmt: str) -> str:
 
 def write_link_table(links: Sequence[TemporalLink], path) -> None:
     """CSV of every tested link: period_t,comm_i,period_t1,comm_j,overlap,p_value,validated."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["period_t", "comm_i", "period_t1", "comm_j", "overlap", "p_value", "validated"]
-        )
-        for link in links:
-            writer.writerow(
-                [
-                    link.period_from,
-                    link.community_from,
-                    link.period_to,
-                    link.community_to,
-                    link.overlap,
-                    repr(link.p_value),
-                    str(link.validated).lower(),
-                ]
-            )
+    write_rows(
+        path,
+        ["period_t", "comm_i", "period_t1", "comm_j", "overlap", "p_value", "validated"],
+        (
+            [
+                link.period_from,
+                link.community_from,
+                link.period_to,
+                link.community_to,
+                link.overlap,
+                repr(link.p_value),
+                str(link.validated).lower(),
+            ]
+            for link in links
+        ),
+    )
+
+
+_VALIDATED = {"true": True, "false": False}
 
 
 def read_link_table(path) -> list[TemporalLink]:
-    path = Path(path)
+    """Read a link table; InputError with file:line on a malformed row."""
     links = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 or not any(row):
-                continue
+    for lineno, cells in read_rows(path, header=True):
+        if len(cells) != 7:
+            raise InputError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
+        try:
             links.append(
                 TemporalLink(
-                    period_from=row[0],
-                    community_from=int(row[1]),
-                    period_to=row[2],
-                    community_to=int(row[3]),
-                    overlap=int(row[4]),
-                    p_value=float(row[5]),
-                    validated=row[6] == "true",
+                    period_from=cells[0],
+                    community_from=int(cells[1]),
+                    period_to=cells[2],
+                    community_to=int(cells[3]),
+                    overlap=int(cells[4]),
+                    p_value=float(cells[5]),
+                    validated=_VALIDATED[cells[6]],
                 )
             )
+        except (ValueError, KeyError) as exc:
+            raise InputError(f"{path}:{lineno}: bad value: {exc}") from None
     return links

@@ -308,3 +308,9 @@ class TestPartitionCsv:
         path.write_text("node_id,side,community\nr0,red,-1\n")
         with pytest.raises(InputError):
             read_partition_csv(path)
+
+    def test_rejects_node_listed_twice(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("node_id,side,community\nr0,red,0\nb0,blue,0\nr0,red,1\n")
+        with pytest.raises(InputError, match=r"part\.csv:4: node 'r0' listed twice"):
+            read_partition_csv(path)

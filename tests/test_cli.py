@@ -122,6 +122,30 @@ class TestAriCommand:
         assert main(["detect", "--config", str(config), "--runs", "1"]) == 0
         assert main(["ari", "--config", str(config)]) == 1
 
+    def test_runs_left_by_an_earlier_detect_are_ignored(self, workspace):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config), "--runs", "6"]) == 0
+        assert main(["detect", "--config", str(config), "--runs", "3"]) == 0
+        assert (tmp_path / "out" / "partitions" / "p00" / "run_005.csv").exists()
+        assert main(["ari", "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "ari.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.split(",")[3] == "3" for line in lines[1:])
+
+    def test_run_named_in_summary_but_missing_rejected(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        (tmp_path / "out" / "partitions" / "p01" / "run_002.csv").unlink()
+        assert main(["ari", "--config", str(config)]) == 1
+        assert "run_002.csv" in capsys.readouterr().err
+
+    def test_malformed_summary_rejected(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        (tmp_path / "out" / "run_summary.json").write_text('{"p00": {"best_run_id": 0}}')
+        assert main(["ari", "--config", str(config)]) == 1
+        assert "run_summary.json" in capsys.readouterr().err
+
 
 class TestTrackCommand:
     def test_outputs(self, workspace):
@@ -144,6 +168,17 @@ class TestTrackCommand:
         ]) == 0
         payload = json.loads((tmp_path / "out" / "evolution.json").read_text())
         assert all(n["period"].startswith("p") for n in payload["nodes"])
+
+    def test_period_directory_left_by_an_earlier_detect_is_ignored(self, workspace):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        partitions = tmp_path / "out" / "partitions"
+        (partitions / "p99").mkdir()
+        (partitions / "p99" / "best.csv").write_bytes(
+            (partitions / "p02" / "best.csv").read_bytes()
+        )
+        assert main(["track", "--config", str(config)]) == 0
+        assert "p99" not in (tmp_path / "out" / "links.csv").read_text()
 
 
 class TestEnrichCommand:
@@ -319,3 +354,12 @@ class TestErrorHandling:
 
         monkeypatch.setattr(cli_mod.brim, "brim_multirun", explode)
         assert main(["detect", "--config", str(config)]) == 2
+
+    def test_output_io_failure_exits_one(self, workspace, capsys):
+        tmp_path, config = workspace
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        assert main(["detect", "--config", str(config), "--output-dir", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not_a_dir" in err

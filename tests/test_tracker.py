@@ -322,6 +322,24 @@ class TestLinkTable:
         back = read_link_table(path)
         assert back == links
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "p00,0,p01,0,3,0.5",
+            "p00,zero,p01,0,3,0.5,false",
+            "p00,0,p01,0,3,low,false",
+            "p00,0,p01,0,3,0.5,maybe",
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "links.csv"
+        path.write_text(
+            "period_t,comm_i,period_t1,comm_j,overlap,p_value,validated\n"
+            f"p00,0,p01,1,2,0.25,true\n{row}\n"
+        )
+        with pytest.raises(InputError, match=r"links\.csv:3: "):
+            read_link_table(path)
+
 
 class TestNullCalibration:
     def test_family_wise_rate_below_univariate_threshold(self):
