@@ -22,7 +22,6 @@ from .graph import BLUE, RED, BipartiteGraph
 from .seeding import STREAM_BRIM_ADAPT, STREAM_BRIM_RUN, derive_seed
 from .table import read_rows, write_rows
 
-_Q_IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 200
 
 
@@ -161,15 +160,18 @@ def _aligned_labels(graph: BipartiteGraph, partition: Partition):
     return red, blue
 
 
+def _community_mass(labels, degrees, n_communities):
+    """Summed degree per community, exact (masses are at most m < 2**53)."""
+    return np.bincount(labels, weights=degrees, minlength=n_communities).astype(np.int64)
+
+
 def _modularity_numerator(graph, red_labels, blue_labels, n_communities) -> int:
     m = graph.n_edges
     within = int(
         np.count_nonzero(red_labels[graph.edge_red] == blue_labels[graph.edge_blue])
     )
-    red_mass = np.zeros(n_communities, dtype=np.int64)
-    blue_mass = np.zeros(n_communities, dtype=np.int64)
-    np.add.at(red_mass, red_labels, graph.red_degrees)
-    np.add.at(blue_mass, blue_labels, graph.blue_degrees)
+    red_mass = _community_mass(red_labels, graph.red_degrees, n_communities)
+    blue_mass = _community_mass(blue_labels, graph.blue_degrees, n_communities)
     null = int(np.dot(red_mass, blue_mass))
     return within * m - null
 
@@ -181,6 +183,48 @@ def bipartite_modularity(graph: BipartiteGraph, partition: Partition) -> float:
     red_l, blue_l = _aligned_labels(graph, partition)
     num = _modularity_numerator(graph, red_l, blue_l, partition.n_communities)
     return num / (graph.n_edges * graph.n_edges)
+
+
+def _best_labels(graph: BipartiteGraph, side: str, fixed_labels, n_communities):
+    """Best community of every node on ``side``, the other side's labels fixed.
+
+    A node's score for community g is count * m - degree * fixed_mass[g],
+    where count is its number of edges into g.  Only the (node, community)
+    pairs that edges touch are built, by sorting the keys
+    node * c + label; every other community scores -degree * fixed_mass, so
+    the best of them is the fallback community of least fixed mass (lowest
+    label).  The argmax breaks ties by the lowest label, and degree-0 nodes
+    (all scores 0) take label 0.  Memory is O(m), not O(n * c).
+    """
+    c = n_communities
+    m = graph.n_edges
+    if side == RED:
+        moving, fixed = graph.edge_red, graph.edge_blue
+        degrees, fixed_degrees = graph.red_degrees, graph.blue_degrees
+    else:
+        moving, fixed = graph.edge_blue, graph.edge_red
+        degrees, fixed_degrees = graph.blue_degrees, graph.red_degrees
+    fixed_mass = _community_mass(fixed_labels, fixed_degrees, c)
+
+    key = moving * c + fixed_labels[fixed]
+    key.sort()
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    count = np.diff(np.append(run_start, key.size))
+    node, label = np.divmod(key[run_start], c)
+    score = count * m - degrees[node] * fixed_mass[label]
+
+    node_start = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    best = np.maximum.reduceat(score, node_start)
+    at_best = score == np.repeat(best, np.diff(np.append(node_start, node.size)))
+    best_label = np.minimum.reduceat(np.where(at_best, label, c), node_start)
+
+    fallback = int(np.argmin(fixed_mass))
+    nodes = node[node_start]
+    fallback_score = -degrees[nodes] * fixed_mass[fallback]
+    wins = (best > fallback_score) | ((best == fallback_score) & (best_label < fallback))
+    labels = np.zeros(len(degrees), dtype=np.int64)
+    labels[nodes] = np.where(wins, best_label, fallback)
+    return labels
 
 
 def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partition:
@@ -197,26 +241,22 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
         raise InputError("cannot optimize a graph with no edges")
     red_l, blue_l = _aligned_labels(graph, partition)
     c = partition.n_communities
-    m = graph.n_edges
-
     if side == RED:
-        fixed_mass = np.zeros(c, dtype=np.int64)
-        np.add.at(fixed_mass, blue_l, graph.blue_degrees)
-        counts = np.zeros((graph.n_red, c), dtype=np.int64)
-        np.add.at(counts, (graph.edge_red, blue_l[graph.edge_blue]), 1)
-        scores = counts * m - graph.red_degrees[:, None] * fixed_mass[None, :]
-        red_l = np.argmax(scores, axis=1)
+        red_l = _best_labels(graph, RED, blue_l, c)
     else:
-        fixed_mass = np.zeros(c, dtype=np.int64)
-        np.add.at(fixed_mass, red_l, graph.red_degrees)
-        counts = np.zeros((graph.n_blue, c), dtype=np.int64)
-        np.add.at(counts, (graph.edge_blue, red_l[graph.edge_red]), 1)
-        scores = counts * m - graph.blue_degrees[:, None] * fixed_mass[None, :]
-        blue_l = np.argmax(scores, axis=1)
-
+        blue_l = _best_labels(graph, BLUE, red_l, c)
     return Partition.from_arrays(
         graph.red_nodes, graph.blue_nodes, red_l, blue_l, c
     )
+
+
+def _compact_labels(labels, lex_order):
+    """``Partition.compact`` on a label array: communities renumbered in the
+    order of their smallest member id (``lex_order`` lists the nodes by id)."""
+    present, first = np.unique(labels[lex_order], return_index=True)
+    mapping = np.empty(present[-1] + 1, dtype=np.int64)
+    mapping[present[np.argsort(first)]] = np.arange(present.size)
+    return mapping[labels], present.size
 
 
 def brim_converge(
@@ -229,33 +269,40 @@ def brim_converge(
     """Alternate blue and red reassignment sweeps until a fixed point.
 
     A sweep is one blue step followed by one red step, then compaction of
-    empty communities.  Stops when a sweep changes no label or improves Q by
-    less than 1e-12, or after ``max_sweeps``.
+    empty communities.  Stops when a sweep does not raise the exact integer
+    modularity numerator (a sweep that changes no label cannot), or after
+    ``max_sweeps``.  The sweeps run on label arrays in graph node order; the
+    result partition is the only ``Partition`` built.
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    part = initial_partition
-    q = bipartite_modularity(graph, part)
-    canonical = part.compact()
+    if graph.n_edges == 0:
+        raise InputError("modularity undefined for a graph with no edges")
+    red, blue = _aligned_labels(graph, initial_partition)
+    c = initial_partition.n_communities
+    num = _modularity_numerator(graph, red, blue, c)
+    nodes = graph.red_nodes + graph.blue_nodes
+    lex_order = np.array(sorted(range(len(nodes)), key=nodes.__getitem__), dtype=np.int64)
     sweeps = 0
     for _ in range(max_sweeps):
-        stepped = brim_step(graph, part, BLUE)
-        stepped = brim_step(graph, stepped, RED)
-        next_canonical = stepped.compact()
-        q_new = bipartite_modularity(graph, next_canonical)
+        blue = _best_labels(graph, BLUE, red, c)
+        red = _best_labels(graph, RED, blue, c)
+        labels, c = _compact_labels(np.concatenate((red, blue)), lex_order)
+        red, blue = labels[:graph.n_red], labels[graph.n_red:]
+        num_new = _modularity_numerator(graph, red, blue, c)
         sweeps += 1
-        if q_new < q:
+        if num_new < num:
             raise RuntimeError(
-                f"modularity decreased during sweep: {q} -> {q_new}"
+                f"modularity decreased during sweep: numerator {num} -> {num_new}"
             )
-        changed = next_canonical != canonical
-        improved = q_new - q
-        part, canonical, q = next_canonical, next_canonical, q_new
-        if not changed or improved < _Q_IMPROVEMENT_TOL:
+        if num_new == num:
             break
+        num = num_new
     return RunResult(
-        partition=canonical,
-        modularity=q,
+        partition=Partition.from_arrays(
+            graph.red_nodes, graph.blue_nodes, red.tolist(), blue.tolist(), c
+        ),
+        modularity=num / (graph.n_edges * graph.n_edges),
         run_id=run_id,
         seed=seed,
         iterations=sweeps,
@@ -271,7 +318,7 @@ def random_partition(
     red = rng.integers(0, n_communities, size=graph.n_red)
     blue = rng.integers(0, n_communities, size=graph.n_blue)
     return Partition.from_arrays(
-        graph.red_nodes, graph.blue_nodes, red, blue, n_communities
+        graph.red_nodes, graph.blue_nodes, red.tolist(), blue.tolist(), n_communities
     )
 
 

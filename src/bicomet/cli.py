@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import logging
+import shutil
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -148,18 +149,12 @@ def _resolve_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _partition_dir(out: Path, period: str) -> Path:
+def _partition_dir(partitions: Path, period: str) -> Path:
     # period labels become directory names; refuse anything that could
     # escape or nest under the output tree
     if not period or period in (".", "..") or "/" in period or "\\" in period:
         raise InputError(f"period label {period!r} is not usable as a directory name")
-    return out / "partitions" / period
+    return partitions / period
 
 
 def cmd_detect(cfg: PipelineConfig) -> dict:
@@ -167,40 +162,55 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
     if not cfg.manifest:
         raise InputError("detect requires a manifest (config key or --manifest)")
     series = load_period_series(cfg.manifest)
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # partitions/ is written aside and swapped in whole, so no run file or
+    # period directory of an earlier detect survives
+    staging = out / ".partitions.tmp"
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir()
     schedule = cfg.parsed_schedule()
     summary = {}
     count_rows = []
-    for index, (period, graph) in enumerate(series):
-        period_seed = derive_seed(cfg.master_seed, STREAM_DETECT_PERIOD, index)
-        results = brim.brim_multirun(
-            graph,
-            runs=cfg.runs,
-            restarts_per_run=cfg.restarts_per_run,
-            module_count_schedule=schedule,
-            master_seed=period_seed,
-            workers=cfg.workers if cfg.workers > 1 else None,
-        )
-        pdir = _partition_dir(out, period)
-        pdir.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            brim.write_partition_csv(
-                result.partition, pdir / f"run_{result.run_id:03d}.csv"
+    try:
+        for index, (period, graph) in enumerate(series):
+            period_seed = derive_seed(cfg.master_seed, STREAM_DETECT_PERIOD, index)
+            results = brim.brim_multirun(
+                graph,
+                runs=cfg.runs,
+                restarts_per_run=cfg.restarts_per_run,
+                module_count_schedule=schedule,
+                master_seed=period_seed,
+                workers=cfg.workers if cfg.workers > 1 else None,
             )
-        best = brim.best_result(results)
-        brim.write_partition_csv(best.partition, pdir / "best.csv")
-        summary[period] = {
-            "runs": brim.run_summary(results),
-            "best_run_id": best.run_id,
-            "best_modularity": best.modularity,
-        }
-        counts = [r.partition.n_communities for r in results]
-        mean = float(np.mean(counts))
-        std = float(np.std(counts, ddof=1)) if len(counts) > 1 else 0.0
-        count_rows.append((period, mean, std, best.partition.n_communities))
-        logger.info(
-            "detect %s: best Q=%.6f over %d runs", period, best.modularity, len(results)
-        )
+            pdir = _partition_dir(staging, period)
+            pdir.mkdir(exist_ok=True)
+            for result in results:
+                brim.write_partition_csv(
+                    result.partition, pdir / f"run_{result.run_id:03d}.csv"
+                )
+            best = brim.best_result(results)
+            brim.write_partition_csv(best.partition, pdir / "best.csv")
+            summary[period] = {
+                "runs": brim.run_summary(results),
+                "best_run_id": best.run_id,
+                "best_modularity": best.modularity,
+            }
+            counts = [r.partition.n_communities for r in results]
+            mean = float(np.mean(counts))
+            std = float(np.std(counts, ddof=1)) if len(counts) > 1 else 0.0
+            count_rows.append((period, mean, std, best.partition.n_communities))
+            logger.info(
+                "detect %s: best Q=%.6f over %d runs",
+                period, best.modularity, len(results),
+            )
+        partitions = out / "partitions"
+        if partitions.exists():
+            shutil.rmtree(partitions)
+        staging.rename(partitions)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     with (out / "run_summary.json").open("w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -218,8 +228,8 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
 def _detected_runs(out: Path) -> dict[str, list[str]]:
     """Run file names per period of the last detect, from run_summary.json.
 
-    Downstream commands read only what this lists, so partitions left over
-    from an earlier detect with more runs or other periods are ignored.
+    Downstream commands read only what this lists, never whatever else lies
+    under ``partitions/``.
     """
     path = out / "run_summary.json"
     try:
@@ -238,22 +248,23 @@ def _detected_runs(out: Path) -> dict[str, list[str]]:
 
 
 def _load_best_sequence(out: Path):
+    partitions = out / "partitions"
     return [
-        (period, brim.read_partition_csv(_partition_dir(out, period) / "best.csv"))
+        (period, brim.read_partition_csv(_partition_dir(partitions, period) / "best.csv"))
         for period in _detected_runs(out)
     ]
 
 
 def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
     """Agreement among the detection runs of each period, over all pairs."""
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     rows = []
     for period, names in _detected_runs(out).items():
         if len(names) < 2:
             raise InputError(
                 f"period {period}: need at least 2 runs for agreement statistics"
             )
-        pdir = _partition_dir(out, period)
+        pdir = _partition_dir(out / "partitions", period)
         partitions = [brim.read_partition_csv(pdir / name) for name in names]
         mean, std, pairs = metrics.all_pairs_ari(partitions)
         rows.append((period, mean, std, pairs))
@@ -267,7 +278,7 @@ def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
 
 def cmd_track(cfg: PipelineConfig) -> tracker.EvolutionGraph:
     """Validate temporal links between best partitions; export the DAG."""
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     sequence = _load_best_sequence(out)
     if len(sequence) < 2:
         raise InputError("tracking needs best partitions for at least 2 periods")
@@ -278,7 +289,9 @@ def cmd_track(cfg: PipelineConfig) -> tracker.EvolutionGraph:
     )
     links, threshold = tracker.track_sequence(sequence, config)
     tracker.write_link_table(links, out / "links.csv")
-    graph = tracker.build_evolution_graph(sequence, config, roots=cfg.parsed_roots())
+    graph = tracker.build_evolution_graph(
+        sequence, config, roots=cfg.parsed_roots(), tracked=(links, threshold)
+    )
     (out / "evolution.dot").write_text(
         tracker.export_evolution(graph, "dot"), encoding="utf-8"
     )
@@ -298,7 +311,7 @@ def cmd_track(cfg: PipelineConfig) -> tracker.EvolutionGraph:
 
 def cmd_enrich(cfg: PipelineConfig) -> list[dict]:
     """Over-expression tests for every period's best partition."""
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     if not cfg.attributes:
         raise InputError("enrich requires an attribute catalog (key 'attributes')")
     catalog = enrichment.load_attribute_catalog(cfg.attributes)
@@ -450,8 +463,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     cmd_detect(cfg)
     if cfg.runs >= 2:
         cmd_ari(cfg)
-    sequence = _load_best_sequence(_out_dir(cfg))
-    if len(sequence) >= 2:
+    if len(_detected_runs(Path(cfg.output_dir))) >= 2:
         cmd_track(cfg)
     if cfg.attributes:
         cmd_enrich(cfg)

@@ -218,6 +218,7 @@ def build_evolution_graph(
     sequence: TimedPartitionSequence,
     config: TrackerConfig = TrackerConfig(),
     roots: Sequence[tuple[str, int]] | None = None,
+    tracked: tuple[Sequence[TemporalLink], float] | None = None,
 ) -> EvolutionGraph:
     """Validated-link DAG over a timed partition sequence.
 
@@ -225,9 +226,13 @@ def build_evolution_graph(
     roots, a time-forward traversal from the root communities marks the
     reachable set; ``forward_only`` keeps only links leaving reachable nodes,
     while ``all`` additionally keeps validated links arriving at reachable
-    nodes from elsewhere (merging side branches stay visible).
+    nodes from elsewhere (merging side branches stay visible).  ``tracked``
+    is what ``track_sequence(sequence, config)`` returned, if the caller has
+    it already; the links are then not tested again.
     """
-    links, threshold = track_sequence(sequence, config)
+    if tracked is None:
+        tracked = track_sequence(sequence, config)
+    links, threshold = tracked
     validated = [link for link in links if link.validated]
     order = {label: i for i, (label, _) in enumerate(sequence)}
     sizes = {

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,123 @@ class TestBrimStep:
         part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [0], [0])
         with pytest.raises(ValueError):
             brim_step(g, part, "green")
+
+
+def dense_brim_step(graph, partition, side):
+    """Reference oracle: the dense n x c argmax step that the sparse
+    ``brim_step`` replaced.  Returns (red labels, blue labels) as lists."""
+    mapping = partition.as_dict()
+    red_l = np.array([mapping[n] for n in graph.red_nodes], dtype=np.int64)
+    blue_l = np.array([mapping[n] for n in graph.blue_nodes], dtype=np.int64)
+    c = partition.n_communities
+    m = graph.n_edges
+    fixed_mass = np.zeros(c, dtype=np.int64)
+    if side == RED:
+        np.add.at(fixed_mass, blue_l, graph.blue_degrees)
+        counts = np.zeros((graph.n_red, c), dtype=np.int64)
+        np.add.at(counts, (graph.edge_red, blue_l[graph.edge_blue]), 1)
+        scores = counts * m - graph.red_degrees[:, None] * fixed_mass[None, :]
+        red_l = np.argmax(scores, axis=1)
+    else:
+        np.add.at(fixed_mass, red_l, graph.red_degrees)
+        counts = np.zeros((graph.n_blue, c), dtype=np.int64)
+        np.add.at(counts, (graph.edge_blue, red_l[graph.edge_red]), 1)
+        scores = counts * m - graph.blue_degrees[:, None] * fixed_mass[None, :]
+        blue_l = np.argmax(scores, axis=1)
+    return red_l.tolist(), blue_l.tolist()
+
+
+def graph_with_isolated_nodes(rng):
+    p = int(rng.integers(1, 7))
+    q = int(rng.integers(1, 9))
+    mat = rng.random((p, q)) < rng.uniform(0.1, 0.8)
+    if not mat.any():
+        mat[rng.integers(p), rng.integers(q)] = True
+    reds = [f"r{i}" for i in rng.permutation(p)]
+    blues = [f"b{j}" for j in rng.permutation(q)]
+    edges = [(reds[i], blues[j]) for i in range(p) for j in range(q) if mat[i, j]]
+    reds += [f"r_isolated{i}" for i in range(int(rng.integers(0, 3)))]
+    blues += [f"b_isolated{j}" for j in range(int(rng.integers(0, 3)))]
+    return BipartiteGraph(edges, red_nodes=reds, blue_nodes=blues)
+
+
+class TestSparseStepMatchesDenseOracle:
+    def test_random_graphs_both_sides(self):
+        rng = np.random.default_rng(31)
+        isolated = 0
+        for _ in range(250):
+            g = graph_with_isolated_nodes(rng)
+            isolated += int((g.red_degrees == 0).sum() + (g.blue_degrees == 0).sum())
+            c = int(rng.integers(1, g.n_red + g.n_blue + 1))
+            part = random_partition(g, c, rng)
+            for side in (RED, BLUE):
+                stepped = brim_step(g, part, side)
+                assert (stepped.red_labels, stepped.blue_labels) == tuple(
+                    tuple(x) for x in dense_brim_step(g, part, side)
+                )
+                assert stepped.n_communities == c
+        assert isolated > 0
+
+    def test_degree_zero_nodes_take_label_zero(self):
+        g = BipartiteGraph(
+            [("r0", "b0"), ("r1", "b1")],
+            red_nodes=["r0", "r1", "r2"],
+            blue_nodes=["b0", "b1", "b2"],
+        )
+        part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 0, 1], [1, 0, 1], 2)
+        assert brim_step(g, part, RED).red_labels == (1, 0, 0)
+        assert brim_step(g, part, BLUE).blue_labels == (1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "blue_label, c",
+        [
+            (0, 2),  # neighbour community 0 ties the empty fallback 1
+            (1, 2),  # the empty fallback 0 ties neighbour community 1
+            (2, 3),  # the empty fallback 0 ties neighbour community 2
+        ],
+    )
+    def test_tie_between_neighbour_and_least_mass_fallback(self, blue_label, c):
+        # every edge ends at b0, so its community holds all blue mass m and
+        # scores 1 * m - 1 * m = 0, the score of an empty community: the
+        # lowest label, 0, wins the tie
+        g = BipartiteGraph([("r0", "b0"), ("r1", "b0")])
+        part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 1], [blue_label], c)
+        stepped = brim_step(g, part, RED)
+        assert stepped.red_labels == (0, 0)
+        assert list(stepped.red_labels) == dense_brim_step(g, part, RED)[0]
+
+
+def pinned_graph():
+    rng = np.random.default_rng(2024)
+    reds = [f"r{i:02d}" for i in range(18)]
+    blues = [f"b{j:02d}" for j in range(24)]
+    edges = [
+        (reds[i], blues[j])
+        for i in range(17)
+        for j in range(24)
+        if rng.random() < (0.5 if i % 3 == j % 3 else 0.15)
+    ]
+    return BipartiteGraph(edges, red_nodes=reds, blue_nodes=blues + ["b_isolated"])
+
+
+class TestPinnedPartitions:
+    def test_multirun_labels_match_recorded_digest(self):
+        # digest recorded with the dense-step optimizer; the sparse array
+        # core must reproduce every label, sweep count and modularity
+        g = pinned_graph()
+        results = brim_multirun(g, runs=4, restarts_per_run=5, master_seed=17)
+        payload = [
+            [
+                r.run_id,
+                r.iterations,
+                r.modularity,
+                list(r.partition.red_labels),
+                list(r.partition.blue_labels),
+            ]
+            for r in results
+        ]
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == "deb8c95d8806398e60e03c3bbb82bfe41019cfe897b84785b53f3c652ab8be52"
 
 
 class TestBrimConverge:

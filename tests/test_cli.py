@@ -126,11 +126,30 @@ class TestAriCommand:
         tmp_path, config = workspace
         assert main(["detect", "--config", str(config), "--runs", "6"]) == 0
         assert main(["detect", "--config", str(config), "--runs", "3"]) == 0
-        assert (tmp_path / "out" / "partitions" / "p00" / "run_005.csv").exists()
+        assert not (tmp_path / "out" / "partitions" / "p00" / "run_005.csv").exists()
         assert main(["ari", "--config", str(config)]) == 0
         lines = (tmp_path / "out" / "ari.csv").read_text().splitlines()
         assert len(lines) == 4
         assert all(line.split(",")[3] == "3" for line in lines[1:])
+
+    def test_detect_replaces_partitions_of_an_earlier_detect(self, workspace):
+        tmp_path, config = workspace
+        manifest = tmp_path / "data" / "manifest.csv"
+        two_periods = tmp_path / "data" / "manifest_2.csv"
+        two_periods.write_text("".join(manifest.read_text().splitlines(True)[:3]))
+        assert main(["detect", "--config", str(config), "--runs", "6"]) == 0
+        second = ["--manifest", str(two_periods), "--runs", "3"]
+        assert main(["detect", "--config", str(config), *second]) == 0
+        partitions = tmp_path / "out" / "partitions"
+        listed = sorted(p.relative_to(partitions).as_posix() for p in partitions.rglob("*"))
+        assert listed == [
+            f"{period}{name}"
+            for period in ("p00", "p01")
+            for name in ("", "/best.csv", "/run_000.csv", "/run_001.csv", "/run_002.csv")
+        ]
+        fresh = ["--output-dir", str(tmp_path / "fresh")]
+        assert main(["detect", "--config", str(config), *second, *fresh]) == 0
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "fresh")
 
     def test_run_named_in_summary_but_missing_rejected(self, workspace, capsys):
         tmp_path, config = workspace
@@ -168,6 +187,22 @@ class TestTrackCommand:
         ]) == 0
         payload = json.loads((tmp_path / "out" / "evolution.json").read_text())
         assert all(n["period"].startswith("p") for n in payload["nodes"])
+
+    def test_links_are_tested_once(self, workspace, monkeypatch):
+        import bicomet.tracker as tracker_mod
+
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        calls = []
+        track_sequence = tracker_mod.track_sequence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return track_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(tracker_mod, "track_sequence", counted)
+        assert main(["track", "--config", str(config)]) == 0
+        assert len(calls) == 1
 
     def test_period_directory_left_by_an_earlier_detect_is_ignored(self, workspace):
         tmp_path, config = workspace
@@ -354,6 +389,13 @@ class TestErrorHandling:
 
         monkeypatch.setattr(cli_mod.brim, "brim_multirun", explode)
         assert main(["detect", "--config", str(config)]) == 2
+
+    def test_readers_leave_a_missing_output_dir_uncreated(self, workspace, capsys):
+        tmp_path, config = workspace
+        for command in ("ari", "track", "enrich"):
+            assert main([command, "--config", str(config), "--output-dir", "typo_dir"]) == 1
+            assert "cannot read typo_dir/run_summary.json" in capsys.readouterr().err
+            assert not (tmp_path / "typo_dir").exists()
 
     def test_output_io_failure_exits_one(self, workspace, capsys):
         tmp_path, config = workspace

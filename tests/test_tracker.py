@@ -193,6 +193,21 @@ class TestBuildEvolutionGraph:
             (2, 1),
         }
 
+    def test_tracked_links_are_not_tested_again(self, monkeypatch):
+        import bicomet.tracker as tracker_mod
+
+        seq = persistence_sequence(periods=4, communities=3, size=8)
+        config = TrackerConfig(direction_filter="forward_only")
+        roots = [("p00", 1)]
+        expected = build_evolution_graph(seq, config, roots=roots)
+        tracked = track_sequence(seq, config)
+
+        def untested(*args, **kwargs):
+            raise AssertionError("links tested again")
+
+        monkeypatch.setattr(tracker_mod, "overlap_pvalue", untested)
+        assert build_evolution_graph(seq, config, roots=roots, tracked=tracked) == expected
+
     def test_missing_root_rejected(self):
         seq = persistence_sequence()
         with pytest.raises(InputError, match="root community"):
