@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import logging
+import os
 import shutil
 import sys
 from dataclasses import dataclass, fields
@@ -163,6 +164,8 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
         raise InputError("detect requires a manifest (config key or --manifest)")
     series = load_period_series(cfg.manifest)
     out = Path(cfg.output_dir)
+    summary_path = out / "run_summary.json"
+    counts_path = out / "community_counts.csv"
     out.mkdir(parents=True, exist_ok=True)
     # partitions/ is written aside and swapped in whole, so no run file or
     # period directory of an earlier detect survives
@@ -205,24 +208,49 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
                 "detect %s: best Q=%.6f over %d runs",
                 period, best.modularity, len(results),
             )
+        # the old summaries go first, so a failure from here on leaves no
+        # summary that describes other partitions
+        summary_path.unlink(missing_ok=True)
+        counts_path.unlink(missing_ok=True)
         partitions = out / "partitions"
         if partitions.exists():
             shutil.rmtree(partitions)
         staging.rename(partitions)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    with (out / "run_summary.json").open("w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    table.write_rows(
-        out / "community_counts.csv",
-        ["period", "mean_communities", "std_communities", "best_communities"],
-        (
-            [period, repr(mean), repr(std), best_count]
-            for period, mean, std, best_count in count_rows
+    _write_replacing(
+        counts_path,
+        lambda path: table.write_rows(
+            path,
+            ["period", "mean_communities", "std_communities", "best_communities"],
+            (
+                [period, repr(mean), repr(std), best_count]
+                for period, mean, std, best_count in count_rows
+            ),
+        ),
+    )
+    # downstream commands read the summary, so it is written last
+    _write_replacing(
+        summary_path,
+        lambda path: path.write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         ),
     )
     return summary
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Call ``write`` on a temporary file beside ``path``, then rename it into place.
+
+    ``path`` either holds the whole new content or is left as it was; the
+    temporary file is removed if ``write`` fails.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _detected_runs(out: Path) -> dict[str, list[str]]:
@@ -276,10 +304,15 @@ def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
     return rows
 
 
-def cmd_track(cfg: PipelineConfig) -> tracker.EvolutionGraph:
-    """Validate temporal links between best partitions; export the DAG."""
+def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
+    """Validate temporal links between best partitions; export the DAG.
+
+    ``sequence`` is the (period, best partition) list of the last detect;
+    it is read from ``partitions/`` when not given.
+    """
     out = Path(cfg.output_dir)
-    sequence = _load_best_sequence(out)
+    if sequence is None:
+        sequence = _load_best_sequence(out)
     if len(sequence) < 2:
         raise InputError("tracking needs best partitions for at least 2 periods")
     config = tracker.TrackerConfig(
@@ -309,8 +342,11 @@ def cmd_track(cfg: PipelineConfig) -> tracker.EvolutionGraph:
     return graph
 
 
-def cmd_enrich(cfg: PipelineConfig) -> list[dict]:
-    """Over-expression tests for every period's best partition."""
+def cmd_enrich(cfg: PipelineConfig, sequence=None) -> list[dict]:
+    """Over-expression tests for every period's best partition.
+
+    ``sequence`` is as for :func:`cmd_track`.
+    """
     out = Path(cfg.output_dir)
     if not cfg.attributes:
         raise InputError("enrich requires an attribute catalog (key 'attributes')")
@@ -318,7 +354,8 @@ def cmd_enrich(cfg: PipelineConfig) -> list[dict]:
     config = enrichment.EnrichmentConfig(
         p_univariate=cfg.p_t, population_scope=cfg.population_scope
     )
-    sequence = _load_best_sequence(out)
+    if sequence is None:
+        sequence = _load_best_sequence(out)
     all_records = []
     all_rows = []
     for period, partition in sequence:
@@ -463,10 +500,11 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     cmd_detect(cfg)
     if cfg.runs >= 2:
         cmd_ari(cfg)
-    if len(_detected_runs(Path(cfg.output_dir))) >= 2:
-        cmd_track(cfg)
+    sequence = _load_best_sequence(Path(cfg.output_dir))
+    if len(sequence) >= 2:
+        cmd_track(cfg, sequence)
     if cfg.attributes:
-        cmd_enrich(cfg)
+        cmd_enrich(cfg, sequence)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,12 @@
 
 The temporal tracker and the attribute enrichment test both reduce to upper
 tails of a hypergeometric distribution.  Those tails routinely sit far below
-the Bonferroni thresholds they are compared against (1e-7 and smaller), so
-everything here is computed in log space, and tail sums are taken on the
-light side of the distribution mean to avoid catastrophic cancellation.
+the Bonferroni thresholds they are compared against (1e-7 and smaller).  A
+tail is one log-space pmf anchor at its first term times a sum of terms
+relative to that anchor, each obtained from the previous one by the pmf
+ratio, so the only big-integer work per test is the anchor's three binomial
+coefficients.  The sum is taken on the light side of the distribution mean,
+which avoids catastrophic cancellation.
 """
 
 from __future__ import annotations
@@ -81,21 +84,24 @@ def hypergeom_pmf(x: int, params: HypergeomParams) -> float:
     return min(math.exp(_log_pmf(x, params)), 1.0)
 
 
-def _log_sum_exp(values: list[float]) -> float:
-    top = max(values)
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+# Tail terms below this fraction of the first term are dropped.  The pmf is
+# log-concave, so the terms after that shrink at least geometrically and sum
+# to far less than the rounding error of the result.
+_TAIL_STOP = 1e-18
 
 
 def overlap_pvalue(n_overlap: int, params: HypergeomParams) -> float:
     """Upper-tail probability P(X >= n_overlap).
 
-    Equivalent to one minus the lower partial sum of the pmf, but summed on
-    whichever side of the distribution mean holds less mass: above the mean
-    the upper tail is accumulated directly in log space (tiny p-values keep
-    full relative precision instead of cancelling against 1), below it the
-    complement of the lower sum is accurate because the result is order 1.
+    Above the distribution mean the upper tail is summed directly, from
+    ``n_overlap`` upwards; at or below it the result is one minus the lower
+    sum, from ``n_overlap - 1`` downwards, which is accurate because it is of
+    order 1.  Either sum starts from one log-space anchor, the log pmf of its
+    first term, and steps by the exact ratio
+    P(x+1)/P(x) = (m-x)(k-x) / ((x+1)(N-m-k+x+1)), or its inverse, summing
+    the terms relative to the anchor with ``math.fsum`` until one falls below
+    1e-18 of the first.  The anchor is applied last, in log space, so tiny
+    p-values keep full relative precision instead of underflowing.
     """
     lo, hi = params.support()
     if n_overlap < 0 or n_overlap > min(params.successes, params.draws):
@@ -104,12 +110,28 @@ def overlap_pvalue(n_overlap: int, params: HypergeomParams) -> float:
         )
     if n_overlap <= lo:
         return 1.0
-    mean = params.draws * params.successes / params.population
-    if n_overlap > mean:
-        logs = [_log_pmf(x, params) for x in range(n_overlap, hi + 1)]
-        p = math.exp(_log_sum_exp(logs))
+    n, m, k = params.population, params.successes, params.draws
+    upper = n_overlap * n > k * m
+    x = n_overlap if upper else n_overlap - 1
+    anchor = _log_pmf(x, params)
+    terms = [1.0]
+    term = 1.0
+    if upper:
+        while x < hi:
+            term *= (m - x) * (k - x) / ((x + 1) * (n - m - k + x + 1))
+            if term < _TAIL_STOP:
+                break
+            terms.append(term)
+            x += 1
     else:
-        p = 1.0 - math.fsum(hypergeom_pmf(x, params) for x in range(lo, n_overlap))
+        while x > lo:
+            term *= x * (n - m - k + x) / ((m - x + 1) * (k - x + 1))
+            if term < _TAIL_STOP:
+                break
+            terms.append(term)
+            x -= 1
+    tail = math.exp(anchor + math.log(math.fsum(terms)))
+    p = tail if upper else 1.0 - tail
     return min(max(p, 0.0), 1.0)
 
 

@@ -94,6 +94,40 @@ class TestDetectCommand:
         counts = (tmp_path / "out" / "community_counts.csv").read_text().splitlines()
         assert all(line.split(",")[2] == "0.0" for line in counts[1:])
 
+    @pytest.mark.parametrize("failing", ["community_counts.csv", "run_summary.json"])
+    def test_failed_summary_write_leaves_no_stale_summary(
+        self, workspace, monkeypatch, capsys, failing
+    ):
+        import bicomet.cli as cli_mod
+
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        if failing == "run_summary.json":
+            monkeypatch.setattr(cli_mod.json, "dumps", fail)
+        else:
+            write_rows = cli_mod.table.write_rows
+
+            def write_rows_failing_counts(path, *args, **kwargs):
+                if "community_counts" in Path(path).name:
+                    fail()
+                return write_rows(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli_mod.table, "write_rows", write_rows_failing_counts)
+        assert main(["detect", "--config", str(config), "--seed", "12"]) == 1
+        monkeypatch.undo()
+        out = tmp_path / "out"
+        # the summary is written last: a failed counts write leaves neither
+        assert not (out / "run_summary.json").exists()
+        assert (out / "community_counts.csv").exists() == (failing == "run_summary.json")
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        capsys.readouterr()
+        assert main(["ari", "--config", str(config)]) == 1
+        assert "run detect first" in capsys.readouterr().err
+
     def test_missing_manifest_is_input_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, manifest="missing/nowhere.csv")
@@ -251,6 +285,21 @@ class TestPipeline:
         first = tree_bytes(out)
         assert main(["pipeline", "--config", str(config)]) == 0
         assert tree_bytes(out) == first
+
+    def test_best_partitions_are_read_once(self, workspace, monkeypatch):
+        import bicomet.cli as cli_mod
+
+        tmp_path, config = workspace
+        reads = []
+        read_partition_csv = cli_mod.brim.read_partition_csv
+
+        def counted(path):
+            reads.append(Path(path).name)
+            return read_partition_csv(path)
+
+        monkeypatch.setattr(cli_mod.brim, "read_partition_csv", counted)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert reads.count("best.csv") == 3
 
     def test_parallel_workers_identical(self, workspace):
         tmp_path, config = workspace

@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from bicomet import stats
 from bicomet.stats import (
     HypergeomParams,
     bonferroni_threshold,
@@ -15,6 +17,38 @@ from bicomet.stats import (
 def exact_pmf(x, n, m, k):
     """Big-integer rational oracle, independent of the log-space route."""
     return math.comb(m, x) * math.comb(n - m, k - x) / math.comb(n, k)
+
+
+def tolerance(n, k):
+    """Relative gate for a tail against its exact value.
+
+    1e-12 while ``log_binomial`` takes every coefficient of the pmf anchor as
+    the log of an exact big integer (min(k, n-k) <= 1024); otherwise the
+    anchor comes from log-gamma and the large-population gate 1e-10 applies.
+    """
+    return 1e-12 if min(k, n - k) <= 1024 else 1e-10
+
+
+def exact_tail(x, n, m, k):
+    """P(X >= x) as an exact fraction (numerator, C(n, k)).
+
+    Sums exact integer terms C(m, v) C(n-m, k-v) on the side of x with fewer
+    of them, each from its neighbour by exact integer division; the last term
+    is checked against math.comb.
+    """
+    lo, hi = HypergeomParams(n, m, k).support()
+    total = math.comb(n, k)
+    upper = hi - x + 1 <= x - lo
+    first, last = (x, hi) if upper else (lo, x - 1)
+    if first > last:  # x <= lo: nothing below x
+        return total, total
+    term = math.comb(m, first) * math.comb(n - m, k - first)
+    numerator = term
+    for v in range(first, last):
+        term = term * (m - v) * (k - v) // ((v + 1) * (n - m - k + v + 1))
+        numerator += term
+    assert term == math.comb(m, last) * math.comb(n - m, k - last)
+    return (numerator if upper else total - numerator), total
 
 
 class TestLogBinomial:
@@ -172,6 +206,81 @@ class TestOverlapPvalue:
         exact = numerator / math.comb(n, k)
         assert exact < 1e-30
         assert overlap_pvalue(x, params) == pytest.approx(exact, rel=1e-12)
+
+    def test_long_tails_match_exact_rationals(self):
+        # more than 300 terms on the summed side, so the sum stops at the
+        # 1e-18 cut long before the end of the support
+        rng = np.random.default_rng(7)
+        cases = dict.fromkeys(
+            [(side, exact) for side in ("upper", "lower") for exact in (True, False)], 0
+        )
+        while min(cases.values()) < 6:
+            n = int(rng.integers(1000, 5001))
+            m = int(rng.integers(1, n + 1))
+            k = int(rng.integers(1, n + 1))
+            params = HypergeomParams(n, m, k)
+            lo, hi = params.support()
+            x = int(rng.integers(lo + 1, hi + 1)) if hi > lo else lo
+            side = "upper" if x * n > k * m else "lower"
+            key = (side, tolerance(n, k) == 1e-12)
+            if (hi - x + 1 if side == "upper" else x - lo) <= 300 or cases[key] >= 6:
+                continue
+            cases[key] += 1
+            numerator, total = exact_tail(x, n, m, k)
+            assert overlap_pvalue(x, params) == pytest.approx(
+                numerator / total, rel=tolerance(n, k)
+            ), (n, m, k, x)
+
+    def test_tails_at_the_mean_match_exact_rationals(self):
+        # x = floor(mean) sums the lower side; x = ceil(mean) sums the upper
+        # side unless the mean is an integer
+        rng = np.random.default_rng(8)
+        cases = [(100, 20, 50), (3000, 1500, 1000)]
+        cases += [
+            (n, int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+            for n in (int(v) for v in rng.integers(2, 3001, size=150))
+        ]
+        for n, m, k in cases:
+            params = HypergeomParams(n, m, k)
+            for x in {k * m // n, -(-k * m // n)}:
+                numerator, total = exact_tail(x, n, m, k)
+                assert overlap_pvalue(x, params) == pytest.approx(
+                    numerator / total, rel=tolerance(n, k)
+                ), (n, m, k, x)
+
+    def test_big_integer_work_is_one_anchor_per_call(self, monkeypatch):
+        counts = {"log_binomial": 0, "comb": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            stats, "log_binomial", counted("log_binomial", stats.log_binomial)
+        )
+        monkeypatch.setattr(
+            stats,
+            "math",
+            types.SimpleNamespace(**{**vars(math), "comb": counted("comb", math.comb)}),
+        )
+        # long tails on both sides of the mean, with exact and log-gamma
+        # coefficients
+        cases = [
+            (4707, 435, 948, 210),
+            (5000, 2000, 2500, 950),
+            (5000, 2000, 2500, 1050),
+            (20000, 8000, 6000, 2300),
+            (20000, 8000, 6000, 2500),
+        ]
+        for n, m, k, x in cases:
+            counts.update(log_binomial=0, comb=0)
+            p = overlap_pvalue(x, HypergeomParams(n, m, k))
+            assert 0.0 < p < 1.0
+            assert counts["log_binomial"] <= 3, (n, m, k, x, counts)
+            assert counts["comb"] <= 3, (n, m, k, x, counts)
 
     def test_random_large_populations_match_exact_rationals(self):
         # integer arithmetic is exact, so the oracle may sum whichever side
