@@ -74,6 +74,27 @@ class Partition:
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.nodes, self.labels))
 
+    def positions_of(self, nodes) -> np.ndarray:
+        """Index in ``self.nodes`` of every node of ``nodes`` (int64), -1 for a
+        node this partition does not hold.
+
+        The one alignment of a partition to a node sequence: run agreement,
+        temporal overlaps, over-expression and graph alignment count on it.
+        """
+        nodes, mine = tuple(nodes), self.nodes
+        if nodes == mine:
+            return np.arange(len(mine), dtype=np.int64)
+        index = {node: i for i, node in enumerate(mine)}
+        return np.fromiter((index.get(n, -1) for n in nodes), dtype=np.int64, count=len(nodes))
+
+    def shared_labels(self, other: "Partition") -> tuple[np.ndarray, np.ndarray]:
+        """Labels here and in ``other`` of the nodes both hold, in this
+        partition's node order (two int64 arrays)."""
+        position = other.positions_of(self.nodes)
+        shared = position >= 0
+        mine = np.array(self.labels, dtype=np.int64)
+        return mine[shared], np.array(other.labels, dtype=np.int64)[position[shared]]
+
     def members(self, community: int) -> frozenset[str]:
         return frozenset(
             n for n, g in zip(self.nodes, self.labels) if g == community
@@ -90,10 +111,8 @@ class Partition:
         )
 
     def sizes(self) -> tuple[int, ...]:
-        counts = [0] * self.n_communities
-        for g in self.labels:
-            counts[g] += 1
-        return tuple(counts)
+        labels = np.array(self.labels, dtype=np.int64)
+        return tuple(np.bincount(labels, minlength=self.n_communities).tolist())
 
     def node_set(self) -> frozenset[str]:
         return frozenset(self.nodes)
@@ -109,15 +128,12 @@ class Partition:
         id, so the numbering does not depend on node input order: permuting
         the nodes of a graph yields byte-identical label assignments.
         """
-        smallest: dict[int, str] = {}
-        for node, g in zip(self.nodes, self.labels):
-            if g not in smallest or node < smallest[g]:
-                smallest[g] = node
-        ordered = sorted(smallest, key=smallest.get)
-        mapping = {g: i for i, g in enumerate(ordered)}
-        red = tuple(mapping[g] for g in self.red_labels)
-        blue = tuple(mapping[g] for g in self.blue_labels)
-        return Partition(self.red_nodes, self.blue_nodes, red, blue, len(mapping))
+        labels = np.array(self.labels, dtype=np.int64)
+        labels, c = _compact_labels(labels, _lex_order(self.nodes))
+        n_red = len(self.red_nodes)
+        return Partition.from_arrays(
+            self.red_nodes, self.blue_nodes, labels[:n_red], labels[n_red:], c
+        )
 
     def restricted_to(self, node_ids) -> "Partition":
         """Sub-partition over ``node_ids``; labels and community count are kept
@@ -147,17 +163,13 @@ class RunResult:
 
 def _aligned_labels(graph: BipartiteGraph, partition: Partition):
     """Label arrays in graph node order; InputError on uncovered nodes."""
-    mapping = partition.as_dict()
-    try:
-        red = np.fromiter(
-            (mapping[n] for n in graph.red_nodes), dtype=np.int64, count=graph.n_red
-        )
-        blue = np.fromiter(
-            (mapping[n] for n in graph.blue_nodes), dtype=np.int64, count=graph.n_blue
-        )
-    except KeyError as exc:
-        raise InputError(f"partition does not cover node {exc.args[0]!r}") from exc
-    return red, blue
+    nodes = graph.red_nodes + graph.blue_nodes
+    position = partition.positions_of(nodes)
+    missing = np.flatnonzero(position < 0)
+    if missing.size:
+        raise InputError(f"partition does not cover node {nodes[missing[0]]!r}")
+    labels = np.array(partition.labels, dtype=np.int64)[position]
+    return labels[:graph.n_red], labels[graph.n_red:]
 
 
 def _community_mass(labels, degrees, n_communities):
@@ -250,11 +262,16 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
     )
 
 
+def _lex_order(nodes):
+    """Positions of ``nodes`` sorted by node id."""
+    return np.array(sorted(range(len(nodes)), key=nodes.__getitem__), dtype=np.int64)
+
+
 def _compact_labels(labels, lex_order):
-    """``Partition.compact`` on a label array: communities renumbered in the
-    order of their smallest member id (``lex_order`` lists the nodes by id)."""
+    """Communities renumbered gap-free in the order of their smallest member
+    id (``lex_order`` lists the nodes by id); returns (labels, count)."""
     present, first = np.unique(labels[lex_order], return_index=True)
-    mapping = np.empty(present[-1] + 1, dtype=np.int64)
+    mapping = np.empty(labels.max(initial=0) + 1, dtype=np.int64)
     mapping[present[np.argsort(first)]] = np.arange(present.size)
     return mapping[labels], present.size
 
@@ -281,8 +298,7 @@ def brim_converge(
     red, blue = _aligned_labels(graph, initial_partition)
     c = initial_partition.n_communities
     num = _modularity_numerator(graph, red, blue, c)
-    nodes = graph.red_nodes + graph.blue_nodes
-    lex_order = np.array(sorted(range(len(nodes)), key=nodes.__getitem__), dtype=np.int64)
+    lex_order = _lex_order(graph.red_nodes + graph.blue_nodes)
     sweeps = 0
     for _ in range(max_sweeps):
         blue = _best_labels(graph, BLUE, red, c)

@@ -30,6 +30,10 @@ from .seeding import STREAM_DETECT_PERIOD, derive_seed
 
 logger = logging.getLogger(__name__)
 
+# what ari, track and enrich write from the partitions of the last detect
+_DOWNSTREAM_OUTPUTS = ("ari.csv", "links.csv", "evolution.dot", "evolution.json",
+                       "enrichment_records.csv", "enrichment_report.csv")
+
 
 @dataclass
 class PipelineConfig:
@@ -208,11 +212,15 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
                 "detect %s: best Q=%.6f over %d runs",
                 period, best.modularity, len(results),
             )
-        # the old summaries go first, so a failure from here on leaves no
-        # summary that describes other partitions
-        summary_path.unlink(missing_ok=True)
-        counts_path.unlink(missing_ok=True)
+        # the old summaries go first, and the ari, track and enrich outputs
+        # unless the new partitions are byte for byte the old ones, so a
+        # failure from here on leaves nothing that describes other partitions
         partitions = out / "partitions"
+        stale = [summary_path, counts_path]
+        if not partitions.exists() or _tree_bytes(partitions) != _tree_bytes(staging):
+            stale += [out / name for name in _DOWNSTREAM_OUTPUTS]
+        for path in stale:
+            path.unlink(missing_ok=True)
         if partitions.exists():
             shutil.rmtree(partitions)
         staging.rename(partitions)
@@ -237,6 +245,11 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
         ),
     )
     return summary
+
+
+def _tree_bytes(root: Path) -> dict:
+    """Bytes of every file under ``root``, by path relative to it."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def _write_replacing(path: Path, write) -> None:
@@ -296,6 +309,7 @@ def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
         partitions = [brim.read_partition_csv(pdir / name) for name in names]
         mean, std, pairs = metrics.all_pairs_ari(partitions)
         rows.append((period, mean, std, pairs))
+        logger.info("ari %s: mean ARI=%.6f over %d pairs", period, mean, pairs)
     table.write_rows(
         out / "ari.csv",
         ["period", "mean_ari", "std_ari", "pairs"],
@@ -358,14 +372,23 @@ def cmd_enrich(cfg: PipelineConfig, sequence=None) -> list[dict]:
         sequence = _load_best_sequence(out)
     all_records = []
     all_rows = []
+    thresholds = []
     for period, partition in sequence:
         records = enrichment.test_overexpression(
             partition, catalog, config, period=period
         )
         all_records.extend(records)
         all_rows.extend(enrichment.community_report(partition, records, period))
+        # one test per value and community: the record count is the
+        # Bonferroni divisor of the period
+        thresholds.append(config.p_univariate / len(records))
     enrichment.write_enrichment_records(all_records, out / "enrichment_records.csv")
     enrichment.write_enrichment_report(all_rows, out / "enrichment_report.csv")
+    validated = sum(1 for record in all_records if record.validated)
+    logger.info(
+        "enrich: %d of %d tests validated (p_B from %.3e to %.3e over %d periods)",
+        validated, len(all_records), min(thresholds), max(thresholds), len(thresholds),
+    )
     return all_rows
 
 

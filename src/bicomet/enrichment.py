@@ -11,13 +11,13 @@ communities.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .brim import Partition
 from .errors import InputError
-from .graph import BLUE, RED
 from .stats import HypergeomParams, overlap_pvalue
 from .table import read_rows, write_rows
 
@@ -131,14 +131,9 @@ def enrichment_threshold(p_univariate: float, *counts: int) -> float:
     return p_univariate / (total_values * n_communities)
 
 
-def _category_side(carriers, partition, category):
-    red = set(partition.red_nodes)
-    blue = set(partition.blue_nodes)
-    on_red = any(node in red for node in carriers)
-    on_blue = any(node in blue for node in carriers)
-    if on_red and on_blue:
-        raise InputError(f"category {category!r} spans both node sides")
-    return RED if on_red else BLUE
+def _counts(labels, n_communities):
+    """Nodes per community among ``labels``, as Python ints."""
+    return np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_communities).tolist()
 
 
 def test_overexpression(
@@ -156,61 +151,61 @@ def test_overexpression(
     Raises InputError when a catalog category applies to no node of the
     partition.
     """
-    partition_nodes = partition.node_set()
     if not catalog.categories:
         raise InputError("empty attribute catalog")
-
+    labels = np.array(partition.labels, dtype=np.int64)
+    n_red, c = len(partition.red_nodes), partition.n_communities
     prepared = []
     value_counts = []
     for category in catalog.categories:
         assigned = catalog.assignments(category)
-        carriers = {n: v for n, v in assigned.items() if n in partition_nodes}
-        if not carriers:
+        position = partition.positions_of(assigned)
+        held = position >= 0
+        if not held.any():
             raise InputError(
                 f"category {category!r} applies to no node of the partition"
             )
-        side = _category_side(carriers, partition, category)
-        side_nodes = (
-            set(partition.red_nodes) if side == RED else set(partition.blue_nodes)
-        )
+        position = position[held]
+        on_red = position < n_red
+        if on_red.any() and not on_red.all():
+            raise InputError(f"category {category!r} spans both node sides")
+        carried = [v for v, keep in zip(assigned.values(), held.tolist()) if keep]
+        values = sorted(set(carried))
+        index = {v: i for i, v in enumerate(values)}
+        value_ids = np.array([index[v] for v in carried], dtype=np.int64)
+        community = labels[position]
         if config.population_scope == SCOPE_CARRIERS:
-            population_nodes = set(carriers)
+            population = community
         else:
-            population_nodes = side_nodes
-        values = sorted(set(carriers.values()))
-        value_counts.append(len(values))
-        global_counts = Counter(
-            carriers[n] for n in population_nodes if n in carriers
+            # every node of the category's side, carrier or not
+            population = labels[:n_red] if on_red[0] else labels[n_red:]
+        n_values = len(values)
+        value_counts.append(n_values)
+        x = np.bincount(community * n_values + value_ids, minlength=c * n_values)
+        m = _counts(value_ids, n_values)
+        k = _counts(population, c)
+        prepared.append(
+            (category, values, x.reshape(c, n_values).tolist(), m, k, population.size)
         )
-        prepared.append((category, carriers, population_nodes, values, global_counts))
 
-    threshold = enrichment_threshold(
-        config.p_univariate, *value_counts, partition.n_communities
-    )
+    threshold = enrichment_threshold(config.p_univariate, *value_counts, c)
 
     records = []
-    for community in range(partition.n_communities):
-        members = partition.members(community)
-        for category, carriers, population_nodes, values, global_counts in prepared:
-            population = len(population_nodes)
-            member_pop = members & population_nodes
-            k = len(member_pop)
-            member_counts = Counter(
-                carriers[n] for n in member_pop if n in carriers
-            )
-            for value in values:
-                m = global_counts[value]
-                x = member_counts.get(value, 0)
-                p = overlap_pvalue(x, HypergeomParams(population, m, k))
+    for community in range(c):
+        for category, values, x, m, k, population in prepared:
+            for j, value in enumerate(values):
+                p = overlap_pvalue(
+                    x[community][j], HypergeomParams(population, m[j], k[community])
+                )
                 records.append(
                     EnrichmentRecord(
                         community=community,
                         period=period,
                         category=category,
                         value=value,
-                        count_in_community=x,
-                        community_population=k,
-                        global_count=m,
+                        count_in_community=x[community][j],
+                        community_population=k[community],
+                        global_count=m[j],
                         global_population=population,
                         p_value=p,
                         validated=p < threshold,
@@ -234,13 +229,15 @@ def community_report(
             validated.setdefault((record.community, record.category), []).append(
                 record.value
             )
+    c = partition.n_communities
+    n_red, n_blue = _counts(partition.red_labels, c), _counts(partition.blue_labels, c)
     rows = []
-    for community in range(partition.n_communities):
+    for community in range(c):
         row = {
             "period": period,
             "community": community,
-            "n_red": len(partition.red_members(community)),
-            "n_blue": len(partition.blue_members(community)),
+            "n_red": n_red[community],
+            "n_blue": n_blue[community],
         }
         for category in categories:
             values = sorted(validated.get((community, category), []))

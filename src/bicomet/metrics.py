@@ -37,35 +37,32 @@ class ContingencyTable:
 
 
 def contingency(partition_a: Partition, partition_b: Partition) -> ContingencyTable:
-    """Contingency table over the intersection of the two node sets."""
-    map_a = partition_a.as_dict()
-    map_b = partition_b.as_dict()
-    common = map_a.keys() & map_b.keys()
-    if not common:
+    """Contingency table over the intersection of the two node sets.
+
+    The shared nodes are counted by one ``bincount`` over the row and column
+    labels that occur, so memory is that of the table, never c_a x c_b.
+    """
+    labels_a, labels_b = partition_a.shared_labels(partition_b)
+    n = labels_a.size
+    if n == 0:
         raise InputError("partitions share no nodes")
-    cells: dict[tuple[int, int], int] = {}
-    for node in common:
-        key = (map_a[node], map_b[node])
-        cells[key] = cells.get(key, 0) + 1
-    row_labels = tuple(sorted({i for i, _ in cells}))
-    col_labels = tuple(sorted({j for _, j in cells}))
-    row_pos = {g: i for i, g in enumerate(row_labels)}
-    col_pos = {g: j for j, g in enumerate(col_labels)}
-    table = [[0] * len(col_labels) for _ in row_labels]
-    for (gi, gj), count in cells.items():
-        table[row_pos[gi]][col_pos[gj]] = count
-    counts = tuple(tuple(row) for row in table)
-    row_sums = tuple(sum(row) for row in counts)
-    col_sums = tuple(sum(col) for col in zip(*counts))
+    row_labels, col_labels = np.unique(labels_a), np.unique(labels_b)
+    rows = np.searchsorted(row_labels, labels_a)
+    cols = np.searchsorted(col_labels, labels_b)
+    shape = (row_labels.size, col_labels.size)
+    table = np.bincount(
+        rows * shape[1] + cols, minlength=shape[0] * shape[1]
+    ).reshape(shape)
+    counts = tuple(map(tuple, table.tolist()))
     return ContingencyTable(
         counts=counts,
-        row_labels=row_labels,
-        col_labels=col_labels,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        n=len(common),
-        exclusive_a=len(map_a) - len(common),
-        exclusive_b=len(map_b) - len(common),
+        row_labels=tuple(row_labels.tolist()),
+        col_labels=tuple(col_labels.tolist()),
+        row_sums=tuple(map(sum, counts)),
+        col_sums=tuple(map(sum, zip(*counts))),
+        n=n,
+        exclusive_a=len(partition_a.nodes) - n,
+        exclusive_b=len(partition_b.nodes) - n,
     )
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .brim import Partition
 from .errors import InputError
 from .stats import HypergeomParams, bonferroni_threshold, overlap_pvalue
@@ -119,29 +121,22 @@ def track_pair(
     """
     sizes_from = partition_from.sizes()
     sizes_to = partition_to.sizes()
-    for label, size in enumerate(sizes_from):
-        if size > population:
-            raise InputError(
-                f"community {label} of {period_from} has {size} members, "
-                f"exceeding population {population}"
-            )
-    for label, size in enumerate(sizes_to):
-        if size > population:
-            raise InputError(
-                f"community {label} of {period_to} has {size} members, "
-                f"exceeding population {population}"
-            )
-    map_from = partition_from.as_dict()
-    map_to = partition_to.as_dict()
-    overlaps: dict[tuple[int, int], int] = {}
-    for node, gi in map_from.items():
-        gj = map_to.get(node)
-        if gj is not None:
-            overlaps[(gi, gj)] = overlaps.get((gi, gj), 0) + 1
+    for period, sizes in ((period_from, sizes_from), (period_to, sizes_to)):
+        for label, size in enumerate(sizes):
+            if size > population:
+                raise InputError(
+                    f"community {label} of {period} has {size} members, "
+                    f"exceeding population {population}"
+                )
+    c_from, c_to = partition_from.n_communities, partition_to.n_communities
+    labels_from, labels_to = partition_from.shared_labels(partition_to)
+    overlaps = np.bincount(
+        labels_from * c_to + labels_to, minlength=c_from * c_to
+    ).reshape(c_from, c_to).tolist()
     links = []
-    for gi in range(partition_from.n_communities):
-        for gj in range(partition_to.n_communities):
-            n_ij = overlaps.get((gi, gj), 0)
+    for gi in range(c_from):
+        for gj in range(c_to):
+            n_ij = overlaps[gi][gj]
             if n_ij == 0:
                 p = 1.0
             else:

@@ -1,8 +1,13 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bicomet
 from bicomet.cli import main
 
 
@@ -35,6 +40,10 @@ def write_config(tmp_path, **overrides):
     lines += [f"{k} = {v}" for k, v in synth.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# the bicomet command in a fresh interpreter
+RUN_MAIN = "import sys; from bicomet.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def tree_bytes(root: Path) -> dict:
@@ -127,6 +136,16 @@ class TestDetectCommand:
         capsys.readouterr()
         assert main(["ari", "--config", str(config)]) == 1
         assert "run detect first" in capsys.readouterr().err
+
+    def test_rerun_with_identical_partitions_keeps_downstream_outputs(self, workspace):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        first = tree_bytes(tmp_path / "out")
+        assert main(["detect", "--config", str(config)]) == 0
+        assert tree_bytes(tmp_path / "out") == first
+        assert main(["detect", "--config", str(config), "--runs", "3"]) == 0
+        assert not (tmp_path / "out" / "ari.csv").exists()
+        assert not (tmp_path / "out" / "links.csv").exists()
 
     def test_missing_manifest_is_input_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -300,6 +319,95 @@ class TestPipeline:
         monkeypatch.setattr(cli_mod.brim, "read_partition_csv", counted)
         assert main(["pipeline", "--config", str(config)]) == 0
         assert reads.count("best.csv") == 3
+
+    @pytest.mark.parametrize("periods", [3, 1])
+    def test_rerun_removes_stale_downstream_outputs(self, workspace, periods):
+        tmp_path, config = workspace
+        manifest = tmp_path / "data" / "manifest.csv"
+        second_manifest = tmp_path / "data" / "manifest_second.csv"
+        second_manifest.write_text(
+            "".join(manifest.read_text().splitlines(True)[: periods + 1])
+        )
+        assert main(["pipeline", "--config", str(config), "--runs", "3"]) == 0
+        out = tmp_path / "out"
+        stale = [
+            "ari.csv",
+            "links.csv",
+            "evolution.dot",
+            "evolution.json",
+            "enrichment_records.csv",
+            "enrichment_report.csv",
+        ]
+        assert all((out / name).exists() for name in stale)
+        second = [
+            "--manifest", str(second_manifest), "--runs", "1", "--seed", "9",
+            "--attributes", "",
+        ]
+        assert main(["pipeline", "--config", str(config), *second]) == 0
+        absent = ["ari.csv", "enrichment_records.csv", "enrichment_report.csv"]
+        if periods == 1:
+            absent = stale
+        for name in absent:
+            assert not (out / name).exists(), name
+        fresh = ["--output-dir", str(tmp_path / "fresh")]
+        assert main(["pipeline", "--config", str(config), *second, *fresh]) == 0
+        assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+    def test_ari_and_enrich_log_one_summary_line(self, workspace, caplog):
+        tmp_path, config = workspace
+        caplog.set_level(logging.INFO, logger="bicomet.cli")
+        assert main(["pipeline", "--config", str(config)]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "bicomet.cli"]
+        out = tmp_path / "out"
+
+        ari_rows = (out / "ari.csv").read_text().splitlines()[1:]
+        expected = [
+            f"ari {period}: mean ARI={float(mean):.6f} over {pairs} pairs"
+            for period, mean, _, pairs in (row.split(",") for row in ari_rows)
+        ]
+        assert [m for m in messages if m.startswith("ari ")] == expected
+
+        records = [
+            row.split(",")
+            for row in (out / "enrichment_records.csv").read_text().splitlines()[1:]
+        ]
+        per_period = {}
+        for row in records:
+            per_period[row[0]] = per_period.get(row[0], 0) + 1
+        thresholds = [0.01 / count for count in per_period.values()]
+        validated = sum(1 for row in records if row[-1] == "true")
+        assert [m for m in messages if m.startswith("enrich:")] == [
+            f"enrich: {validated} of {len(records)} tests validated "
+            f"(p_B from {min(thresholds):.3e} to {max(thresholds):.3e} over 3 periods)"
+        ]
+
+        logged = tree_bytes(out)
+        caplog.clear()
+        caplog.set_level(logging.WARNING, logger="bicomet.cli")
+        quiet = ["--output-dir", str(tmp_path / "quiet")]
+        assert main(["pipeline", "--config", str(config), *quiet]) == 0
+        assert not caplog.records
+        assert tree_bytes(tmp_path / "quiet") == logged
+
+    def test_summary_lines_go_to_stderr_only(self, workspace):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        before = tree_bytes(tmp_path / "out")
+        src = Path(bicomet.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for command, prefix in (("ari", "ari p00:"), ("enrich", "enrich:")):
+            done = subprocess.run(
+                [sys.executable, "-c", RUN_MAIN, command, "--config", str(config)],
+                capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+            )
+            assert done.stdout == ""
+            assert f"INFO bicomet.cli: {prefix}" in done.stderr
+        assert main(["ari", "--config", str(config)]) == 0
+        assert main(["enrich", "--config", str(config)]) == 0
+        after = tree_bytes(tmp_path / "out")
+        assert set(after) - set(before) == {
+            "ari.csv", "enrichment_records.csv", "enrichment_report.csv"
+        }
 
     def test_parallel_workers_identical(self, workspace):
         tmp_path, config = workspace

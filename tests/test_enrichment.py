@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bicomet import enrichment
 from bicomet.enrichment import (
     AttributeCatalog,
     EnrichmentConfig,
+    EnrichmentRecord,
     community_report,
     enrichment_threshold,
     load_attribute_catalog,
@@ -238,3 +241,117 @@ class TestReport:
         text = path.read_text()
         assert text.splitlines()[0] == "period,community,n_red,n_blue,sector"
         assert "--" in text
+
+
+def dict_overexpression(partition, catalog, config=EnrichmentConfig(), period=""):
+    """Reference oracle: the set-and-Counter ``test_overexpression`` that the
+    node-aligned cross-tabulation replaced."""
+    partition_nodes = partition.node_set()
+    red, blue = set(partition.red_nodes), set(partition.blue_nodes)
+    prepared = []
+    value_counts = []
+    for category in catalog.categories:
+        assigned = catalog.assignments(category)
+        carriers = {n: v for n, v in assigned.items() if n in partition_nodes}
+        if not carriers:
+            raise InputError(f"category {category!r} applies to no node of the partition")
+        on_red = any(node in red for node in carriers)
+        on_blue = any(node in blue for node in carriers)
+        if on_red and on_blue:
+            raise InputError(f"category {category!r} spans both node sides")
+        side_nodes = red if on_red else blue
+        if config.population_scope == "carriers":
+            population_nodes = set(carriers)
+        else:
+            population_nodes = side_nodes
+        values = sorted(set(carriers.values()))
+        value_counts.append(len(values))
+        global_counts = Counter(carriers[n] for n in population_nodes if n in carriers)
+        prepared.append((category, carriers, population_nodes, values, global_counts))
+    threshold = enrichment_threshold(
+        config.p_univariate, *value_counts, partition.n_communities
+    )
+    records = []
+    for community in range(partition.n_communities):
+        members = partition.members(community)
+        for category, carriers, population_nodes, values, global_counts in prepared:
+            member_pop = members & population_nodes
+            member_counts = Counter(carriers[n] for n in member_pop if n in carriers)
+            for value in values:
+                m, k = global_counts[value], len(member_pop)
+                x = member_counts.get(value, 0)
+                p = overlap_pvalue(x, HypergeomParams(len(population_nodes), m, k))
+                records.append(
+                    EnrichmentRecord(community, period, category, value, x, k, m,
+                                     len(population_nodes), p, p < threshold)
+                )
+    return records
+
+
+def dict_side_counts(partition):
+    """Reference oracle for the report's per-side community sizes."""
+    return [
+        (len(partition.red_members(g)), len(partition.blue_members(g)))
+        for g in range(partition.n_communities)
+    ]
+
+
+def random_attributed(rng):
+    """A partition (shuffled node order, some communities empty) and a
+    catalog whose categories each sit on one side, cover part of it and
+    name nodes outside it; every fifth catalog has a category on both sides."""
+    reds = [f"r{k}" for k in range(int(rng.integers(0, 15)))]
+    blues = [f"b{k}" for k in range(int(rng.integers(1, 30)))]
+    c = int(rng.integers(1, 7))
+    red_labels = rng.integers(0, c, size=len(reds)).tolist()
+    blue_labels = rng.integers(0, c, size=len(blues)).tolist()
+    partition = Partition.from_arrays(
+        [str(n) for n in rng.permutation(reds)] if reds else [],
+        [str(n) for n in rng.permutation(blues)],
+        red_labels, blue_labels, c,
+    )
+    if rng.random() < 0.3:
+        partition = partition.restricted_to(
+            n for n in partition.nodes if rng.random() < 0.7 or n == blues[0]
+        )
+    rows = []
+    for index in range(int(rng.integers(1, 4))):
+        side = reds if reds and rng.random() < 0.4 else blues
+        pool = side + ["outside0", "outside1"]
+        if rng.random() < 0.2:
+            pool = reds + blues
+        values = [f"v{k}" for k in range(int(rng.integers(1, 5)))]
+        for node in pool:
+            if rng.random() < 0.7:
+                rows.append((node, f"cat{index}", values[int(rng.integers(0, len(values)))]))
+    rows.append((blues[0], "anchor", "v0"))
+    return partition, AttributeCatalog(rows)
+
+
+class TestCountsMatchDictOracle:
+    @pytest.mark.parametrize("scope", ["carriers", "side"])
+    def test_overexpression_on_random_partitions(self, scope):
+        rng = np.random.default_rng(21 if scope == "carriers" else 22)
+        config = EnrichmentConfig(p_univariate=0.05, population_scope=scope)
+        compared = 0
+        for _ in range(200):
+            partition, catalog = random_attributed(rng)
+            try:
+                expected = dict_overexpression(partition, catalog, config, period="t")
+            except InputError as exc:
+                with pytest.raises(InputError) as raised:
+                    enrichment.test_overexpression(partition, catalog, config, period="t")
+                assert str(raised.value) == str(exc)
+                continue
+            got = enrichment.test_overexpression(partition, catalog, config, period="t")
+            assert got == expected
+            compared += 1
+        assert compared > 100
+
+    def test_report_side_counts_on_random_partitions(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            partition, catalog = random_attributed(rng)
+            report = community_report(partition, [], "t")
+            got = [(row["n_red"], row["n_blue"]) for row in report]
+            assert got == dict_side_counts(partition)

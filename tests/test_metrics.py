@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from bicomet.brim import Partition
 from bicomet.errors import InputError
-from bicomet.metrics import adjusted_rand_index, all_pairs_ari, contingency
+from bicomet.metrics import (
+    ContingencyTable,
+    adjusted_rand_index,
+    all_pairs_ari,
+    contingency,
+)
 
 
 def blue_partition(labels, names=None):
@@ -172,3 +178,123 @@ class TestAllPairsAri:
     def test_fewer_than_two_rejected(self):
         with pytest.raises(InputError):
             all_pairs_ari([blue_partition([0, 1])])
+
+
+def dict_contingency(partition_a, partition_b):
+    """Reference oracle: the dict-of-cells contingency table that the
+    node-aligned cross-tabulation replaced."""
+    map_a = partition_a.as_dict()
+    map_b = partition_b.as_dict()
+    common = map_a.keys() & map_b.keys()
+    if not common:
+        raise InputError("partitions share no nodes")
+    cells = {}
+    for node in common:
+        key = (map_a[node], map_b[node])
+        cells[key] = cells.get(key, 0) + 1
+    row_labels = tuple(sorted({i for i, _ in cells}))
+    col_labels = tuple(sorted({j for _, j in cells}))
+    row_pos = {g: i for i, g in enumerate(row_labels)}
+    col_pos = {g: j for j, g in enumerate(col_labels)}
+    table = [[0] * len(col_labels) for _ in row_labels]
+    for (gi, gj), count in cells.items():
+        table[row_pos[gi]][col_pos[gj]] = count
+    counts = tuple(tuple(row) for row in table)
+    return ContingencyTable(
+        counts=counts,
+        row_labels=row_labels,
+        col_labels=col_labels,
+        row_sums=tuple(sum(row) for row in counts),
+        col_sums=tuple(sum(col) for col in zip(*counts)),
+        n=len(common),
+        exclusive_a=len(map_a) - len(common),
+        exclusive_b=len(map_b) - len(common),
+    )
+
+
+def dict_ari(partition_a, partition_b):
+    """Reference oracle: the exact ARI computed from ``dict_contingency``."""
+    table = dict_contingency(partition_a, partition_b)
+    together = sum(math.comb(v, 2) for row in table.counts for v in row)
+    sum_a = sum(math.comb(a, 2) for a in table.row_sums)
+    sum_b = sum(math.comb(b, 2) for b in table.col_sums)
+    pairs = math.comb(table.n, 2)
+    numerator = 2 * (together * pairs - sum_a * sum_b)
+    denominator = (sum_a + sum_b) * pairs - 2 * sum_a * sum_b
+    if denominator == 0:
+        nonzero = sum(1 for row in table.counts for v in row if v)
+        identity = nonzero == len(table.row_labels) == len(table.col_labels)
+        return 1.0 if identity else 0.0
+    return numerator / denominator
+
+
+def random_partition(rng, names):
+    """Random sides, shuffled node order and labels in [0, c), some unused."""
+    names = [str(n) for n in rng.permutation(names)]
+    n_red = int(rng.integers(0, len(names) + 1))
+    c = int(rng.integers(1, len(names) + 3))
+    labels = rng.integers(0, c, size=len(names)).tolist()
+    return Partition.from_arrays(
+        names[:n_red], names[n_red:], labels[:n_red], labels[n_red:], c
+    )
+
+
+def random_pairs(seed, count):
+    """Partition pairs over equal, equally ordered, partially overlapping,
+    restricted (empty communities) and disjoint node sets."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        pool = [f"n{k}" for k in range(int(rng.integers(2, 40)))]
+        a = random_partition(rng, pool)
+        kind = i % 5
+        if kind == 0:
+            b = random_partition(rng, pool)
+        elif kind == 1:
+            labels = rng.integers(0, 4, size=len(pool)).tolist()
+            n_red = len(a.red_nodes)
+            b = Partition.from_arrays(
+                a.red_nodes, a.blue_nodes, labels[:n_red], labels[n_red:], 4
+            )
+        elif kind == 2:
+            keep = rng.random(len(pool)) < 0.6
+            extra = [f"x{k}" for k in range(int(rng.integers(0, 10)))]
+            b = random_partition(rng, [n for n, k in zip(pool, keep) if k] + extra)
+        elif kind == 3:
+            b = random_partition(rng, pool).restricted_to(
+                n for n in pool if rng.random() < 0.5
+            )
+        else:
+            half = len(pool) // 2
+            a = random_partition(rng, pool[:half])
+            b = random_partition(rng, pool[half:])
+        yield a, b
+
+
+class TestCrossTabulationMatchesDictOracle:
+    def test_contingency_on_random_pairs(self):
+        for a, b in random_pairs(seed=5, count=300):
+            try:
+                expected = dict_contingency(a, b)
+            except InputError:
+                with pytest.raises(InputError, match="share no nodes"):
+                    contingency(a, b)
+                continue
+            assert contingency(a, b) == expected
+
+    def test_ari_is_exactly_equal_on_random_pairs(self):
+        compared = 0
+        for a, b in random_pairs(seed=6, count=300):
+            if len(a.node_set() & b.node_set()) < 2:
+                continue
+            assert adjusted_rand_index(a, b) == dict_ari(a, b)
+            assert adjusted_rand_index(b, a) == dict_ari(b, a)
+            compared += 1
+        assert compared > 200
+
+    def test_empty_partition_shares_no_nodes(self):
+        a = blue_partition([0, 1])
+        empty = a.restricted_to(())
+        with pytest.raises(InputError, match="share no nodes"):
+            contingency(a, empty)
+        with pytest.raises(InputError, match="share no nodes"):
+            adjusted_rand_index(empty, a)

@@ -8,6 +8,7 @@ from bicomet.brim import Partition
 from bicomet.errors import InputError
 from bicomet.stats import HypergeomParams, overlap_pvalue
 from bicomet.tracker import (
+    TemporalLink,
     TrackerConfig,
     build_evolution_graph,
     export_evolution,
@@ -388,3 +389,99 @@ class TestNullCalibration:
                 hits += 1
         sigma = math.sqrt(p_t * (1 - p_t) / replicates)
         assert hits / replicates <= p_t + 3 * sigma
+
+
+def dict_track_pair(partition_from, partition_to, population, threshold,
+                    period_from="t", period_to="t+1"):
+    """Reference oracle: the dict-of-overlaps ``track_pair`` that the
+    node-aligned cross-tabulation replaced (size checks left out)."""
+    sizes_from = partition_from.sizes()
+    sizes_to = partition_to.sizes()
+    map_to = partition_to.as_dict()
+    overlaps = {}
+    for node, gi in partition_from.as_dict().items():
+        gj = map_to.get(node)
+        if gj is not None:
+            overlaps[(gi, gj)] = overlaps.get((gi, gj), 0) + 1
+    links = []
+    for gi in range(partition_from.n_communities):
+        for gj in range(partition_to.n_communities):
+            n_ij = overlaps.get((gi, gj), 0)
+            if n_ij == 0:
+                p = 1.0
+            else:
+                params = HypergeomParams(population, sizes_from[gi], sizes_to[gj])
+                p = overlap_pvalue(n_ij, params)
+            links.append(
+                TemporalLink(period_from, gi, period_to, gj, n_ij, p, p < threshold)
+            )
+    return links
+
+
+def dict_track_sequence(sequence, config):
+    """Reference oracle for ``track_sequence`` built on ``dict_track_pair``."""
+    threshold = sequence_bonferroni(sequence, config.p_univariate)
+    links = []
+    for (label_a, part_a), (label_b, part_b) in zip(sequence, sequence[1:]):
+        ids_a, ids_b = part_a.node_set(), part_b.node_set()
+        if config.population_rule == "union":
+            population = len(ids_a | ids_b)
+        else:
+            common = ids_a & ids_b
+            population = len(common)
+            part_a, part_b = part_a.restricted_to(common), part_b.restricted_to(common)
+        links.extend(dict_track_pair(part_a, part_b, population, threshold, label_a, label_b))
+    return links, threshold
+
+
+def random_labelled(rng, names, max_communities=6):
+    """Random sides, shuffled node order and labels, some communities empty."""
+    names = [str(n) for n in rng.permutation(names)]
+    n_red = int(rng.integers(0, len(names) + 1))
+    c = int(rng.integers(1, max_communities + 1))
+    labels = rng.integers(0, c, size=len(names)).tolist()
+    return Partition.from_arrays(
+        names[:n_red], names[n_red:], labels[:n_red], labels[n_red:], c
+    )
+
+
+def random_period_pair(rng, kind):
+    """Two periods over equal, equally ordered, partially overlapping,
+    restricted (empty communities) or disjoint node sets."""
+    pool = [f"n{k}" for k in range(int(rng.integers(1, 50)))]
+    a = random_labelled(rng, pool)
+    if kind == 0:
+        b = random_labelled(rng, pool)
+    elif kind == 1:
+        labels = rng.integers(0, 3, size=len(pool)).tolist()
+        n_red = len(a.red_nodes)
+        b = Partition.from_arrays(a.red_nodes, a.blue_nodes, labels[:n_red], labels[n_red:], 3)
+    elif kind == 2:
+        kept = [n for n in pool if rng.random() < 0.7]
+        b = random_labelled(rng, kept + [f"x{k}" for k in range(int(rng.integers(0, 15)))])
+    elif kind == 3:
+        b = random_labelled(rng, pool).restricted_to(n for n in pool if rng.random() < 0.5)
+    else:
+        b = random_labelled(rng, [f"y{k}" for k in range(int(rng.integers(1, 30)))])
+    return a, b
+
+
+class TestOverlapsMatchDictOracle:
+    def test_track_pair_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            a, b = random_period_pair(rng, i % 5)
+            population = len(a.node_set() | b.node_set())
+            threshold = float(rng.choice([1e-3, 0.05, 0.5]))
+            got = track_pair(a, b, population, threshold, "p0", "p1")
+            assert got == dict_track_pair(a, b, population, threshold, "p0", "p1")
+
+    @pytest.mark.parametrize("rule", ["union", "intersection"])
+    def test_track_sequence_on_random_sequences(self, rule):
+        rng = np.random.default_rng(12)
+        config = TrackerConfig(p_univariate=0.05, population_rule=rule)
+        for i in range(100):
+            a, b = random_period_pair(rng, i % 5)
+            c = random_labelled(rng, list(b.node_set() | {"z0", "z1"}))
+            sequence = [("p0", a), ("p1", b), ("p2", c)]
+            assert track_sequence(sequence, config) == dict_track_sequence(sequence, config)
