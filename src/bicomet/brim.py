@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -25,54 +25,69 @@ from .table import read_rows, write_rows
 DEFAULT_MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
 class Partition:
     """Assignment of every node of a bipartite graph to a community.
 
-    Labels are integers in [0, n_communities); communities may mix node
-    sides.  Empty labels are tolerated transiently (mid-optimization);
-    ``compact()`` renumbers to the canonical gap-free form.
+    Labels are integers in [0, n_communities), held in one read-only int64
+    array ``labels``, red nodes first; ``red_labels`` and ``blue_labels`` are
+    views of it.  Communities may mix node sides.  Empty labels are tolerated
+    transiently (mid-optimization); ``compact()`` renumbers to the canonical
+    gap-free form.
     """
 
-    red_nodes: tuple[str, ...]
-    blue_nodes: tuple[str, ...]
-    red_labels: tuple[int, ...]
-    blue_labels: tuple[int, ...]
-    n_communities: int
+    __slots__ = ("red_nodes", "blue_nodes", "labels", "n_communities")
 
-    def __post_init__(self):
-        if len(self.red_nodes) != len(self.red_labels):
+    def __init__(self, red_nodes, blue_nodes, red_labels, blue_labels, n_communities):
+        self.red_nodes, self.blue_nodes = tuple(red_nodes), tuple(blue_nodes)
+        red_labels = np.asarray(red_labels, dtype=np.int64)
+        blue_labels = np.asarray(blue_labels, dtype=np.int64)
+        if len(self.red_nodes) != red_labels.size:
             raise InputError("red node and label counts differ")
-        if len(self.blue_nodes) != len(self.blue_labels):
+        if len(self.blue_nodes) != blue_labels.size:
             raise InputError("blue node and label counts differ")
-        for label in self.red_labels + self.blue_labels:
-            if not 0 <= label < self.n_communities:
-                raise InputError(
-                    f"label {label} outside [0, {self.n_communities})"
-                )
-        if (len(self.red_nodes) + len(self.blue_nodes)) > 0 and self.n_communities < 1:
-            raise InputError("non-empty partition needs at least one community")
+        self.n_communities = n = int(n_communities)
+        self.labels = np.concatenate((red_labels, blue_labels))
+        outside = (self.labels < 0) | (self.labels >= n)
+        if outside.any():
+            raise InputError(f"label {self.labels[outside][0]} outside [0, {n})")
+        self.labels.setflags(write=False)
 
     @classmethod
     def from_arrays(cls, red_nodes, blue_nodes, red_labels, blue_labels,
                     n_communities=None):
-        red_labels = tuple(int(x) for x in red_labels)
-        blue_labels = tuple(int(x) for x in blue_labels)
+        """As the constructor; ``n_communities`` defaults to the largest label + 1."""
         if n_communities is None:
-            n_communities = max(red_labels + blue_labels, default=-1) + 1
-        return cls(tuple(red_nodes), tuple(blue_nodes), red_labels, blue_labels,
-                   int(n_communities))
+            n_communities = np.max(np.concatenate((red_labels, blue_labels)), initial=-1) + 1
+        return cls(red_nodes, blue_nodes, red_labels, blue_labels, n_communities)
 
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.red_nodes + self.blue_nodes
 
     @property
-    def labels(self) -> tuple[int, ...]:
-        return self.red_labels + self.blue_labels
+    def red_labels(self) -> np.ndarray:
+        return self.labels[:len(self.red_nodes)]
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.nodes, self.labels))
+    @property
+    def blue_labels(self) -> np.ndarray:
+        return self.labels[len(self.red_nodes):]
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (
+            self.red_nodes == other.red_nodes
+            and self.blue_nodes == other.blue_nodes
+            and self.n_communities == other.n_communities
+            and np.array_equal(self.labels, other.labels)
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the labels stay read-only
+        return Partition, (self.red_nodes, self.blue_nodes, self.red_labels,
+                           self.blue_labels, self.n_communities)
 
     def positions_of(self, nodes) -> np.ndarray:
         """Index in ``self.nodes`` of every node of ``nodes`` (int64), -1 for a
@@ -92,30 +107,10 @@ class Partition:
         partition's node order (two int64 arrays)."""
         position = other.positions_of(self.nodes)
         shared = position >= 0
-        mine = np.array(self.labels, dtype=np.int64)
-        return mine[shared], np.array(other.labels, dtype=np.int64)[position[shared]]
-
-    def members(self, community: int) -> frozenset[str]:
-        return frozenset(
-            n for n, g in zip(self.nodes, self.labels) if g == community
-        )
-
-    def red_members(self, community: int) -> frozenset[str]:
-        return frozenset(
-            n for n, g in zip(self.red_nodes, self.red_labels) if g == community
-        )
-
-    def blue_members(self, community: int) -> frozenset[str]:
-        return frozenset(
-            n for n, g in zip(self.blue_nodes, self.blue_labels) if g == community
-        )
+        return self.labels[shared], other.labels[position[shared]]
 
     def sizes(self) -> tuple[int, ...]:
-        labels = np.array(self.labels, dtype=np.int64)
-        return tuple(np.bincount(labels, minlength=self.n_communities).tolist())
-
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
+        return tuple(np.bincount(self.labels, minlength=self.n_communities).tolist())
 
     @property
     def is_compact(self) -> bool:
@@ -128,24 +123,22 @@ class Partition:
         id, so the numbering does not depend on node input order: permuting
         the nodes of a graph yields byte-identical label assignments.
         """
-        labels = np.array(self.labels, dtype=np.int64)
-        labels, c = _compact_labels(labels, _lex_order(self.nodes))
+        labels, c = _compact_labels(self.labels, _lex_order(self.nodes))
         n_red = len(self.red_nodes)
-        return Partition.from_arrays(
-            self.red_nodes, self.blue_nodes, labels[:n_red], labels[n_red:], c
-        )
+        return Partition(self.red_nodes, self.blue_nodes, labels[:n_red], labels[n_red:], c)
 
     def restricted_to(self, node_ids) -> "Partition":
         """Sub-partition over ``node_ids``; labels and community count are kept
         (communities may become empty)."""
-        keep = set(node_ids)
-        red = [(n, g) for n, g in zip(self.red_nodes, self.red_labels) if n in keep]
-        blue = [(n, g) for n, g in zip(self.blue_nodes, self.blue_labels) if n in keep]
+        position = self.positions_of(node_ids)
+        keep = np.zeros(self.labels.size, dtype=bool)
+        keep[position[position >= 0]] = True
+        red, blue = np.split(keep, [len(self.red_nodes)])
         return Partition(
-            tuple(n for n, _ in red),
-            tuple(n for n, _ in blue),
-            tuple(g for _, g in red),
-            tuple(g for _, g in blue),
+            compress(self.red_nodes, red),
+            compress(self.blue_nodes, blue),
+            self.red_labels[red],
+            self.blue_labels[blue],
             self.n_communities,
         )
 
@@ -168,7 +161,7 @@ def _aligned_labels(graph: BipartiteGraph, partition: Partition):
     missing = np.flatnonzero(position < 0)
     if missing.size:
         raise InputError(f"partition does not cover node {nodes[missing[0]]!r}")
-    labels = np.array(partition.labels, dtype=np.int64)[position]
+    labels = partition.labels[position]
     return labels[:graph.n_red], labels[graph.n_red:]
 
 
@@ -257,9 +250,7 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
         red_l = _best_labels(graph, RED, blue_l, c)
     else:
         blue_l = _best_labels(graph, BLUE, red_l, c)
-    return Partition.from_arrays(
-        graph.red_nodes, graph.blue_nodes, red_l, blue_l, c
-    )
+    return Partition(graph.red_nodes, graph.blue_nodes, red_l, blue_l, c)
 
 
 def _lex_order(nodes):
@@ -315,9 +306,7 @@ def brim_converge(
             break
         num = num_new
     return RunResult(
-        partition=Partition.from_arrays(
-            graph.red_nodes, graph.blue_nodes, red.tolist(), blue.tolist(), c
-        ),
+        partition=Partition(graph.red_nodes, graph.blue_nodes, red, blue, c),
         modularity=num / (graph.n_edges * graph.n_edges),
         run_id=run_id,
         seed=seed,
@@ -333,9 +322,7 @@ def random_partition(
         raise ValueError("need at least one community")
     red = rng.integers(0, n_communities, size=graph.n_red)
     blue = rng.integers(0, n_communities, size=graph.n_blue)
-    return Partition.from_arrays(
-        graph.red_nodes, graph.blue_nodes, red.tolist(), blue.tolist(), n_communities
-    )
+    return Partition(graph.red_nodes, graph.blue_nodes, red, blue, n_communities)
 
 
 def default_module_count(graph: BipartiteGraph) -> int:
@@ -459,8 +446,8 @@ def adapt_module_count(
 
 def write_partition_csv(partition: Partition, path) -> None:
     """Write `node_id,side,community` rows (red nodes first), with header."""
-    red = zip(partition.red_nodes, repeat(RED), partition.red_labels)
-    blue = zip(partition.blue_nodes, repeat(BLUE), partition.blue_labels)
+    red = zip(partition.red_nodes, repeat(RED), partition.red_labels.tolist())
+    blue = zip(partition.blue_nodes, repeat(BLUE), partition.blue_labels.tolist())
     write_rows(path, ["node_id", "side", "community"], chain(red, blue))
 
 

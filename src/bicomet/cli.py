@@ -162,26 +162,34 @@ def _partition_dir(partitions: Path, period: str) -> Path:
     return partitions / period
 
 
-def cmd_detect(cfg: PipelineConfig) -> dict:
-    """Run the multirun optimizer per period; write partitions and summaries."""
+def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
+    """Run the multirun optimizer per period; write partitions and summaries.
+
+    Returns the (period, run partitions) list and the (period, best
+    partition) list, as ``cmd_ari`` and ``cmd_track``/``cmd_enrich`` take them.
+    """
     if not cfg.manifest:
         raise InputError("detect requires a manifest (config key or --manifest)")
     series = load_period_series(cfg.manifest)
     out = Path(cfg.output_dir)
-    summary_path = out / "run_summary.json"
-    counts_path = out / "community_counts.csv"
-    out.mkdir(parents=True, exist_ok=True)
     # partitions/ is written aside and swapped in whole, so no run file or
     # period directory of an earlier detect survives
     staging = out / ".partitions.tmp"
+    # a period label unusable as a directory fails before any optimizer run
+    period_dirs = [_partition_dir(staging, period) for period in series.labels]
+    summary_path = out / "run_summary.json"
+    counts_path = out / "community_counts.csv"
+    out.mkdir(parents=True, exist_ok=True)
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
     schedule = cfg.parsed_schedule()
     summary = {}
     count_rows = []
+    runs = []
+    sequence = []
     try:
-        for index, (period, graph) in enumerate(series):
+        for index, ((period, graph), pdir) in enumerate(zip(series, period_dirs)):
             period_seed = derive_seed(cfg.master_seed, STREAM_DETECT_PERIOD, index)
             results = brim.brim_multirun(
                 graph,
@@ -191,7 +199,6 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
                 master_seed=period_seed,
                 workers=cfg.workers if cfg.workers > 1 else None,
             )
-            pdir = _partition_dir(staging, period)
             pdir.mkdir(exist_ok=True)
             for result in results:
                 brim.write_partition_csv(
@@ -199,6 +206,8 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
                 )
             best = brim.best_result(results)
             brim.write_partition_csv(best.partition, pdir / "best.csv")
+            runs.append((period, [result.partition for result in results]))
+            sequence.append((period, best.partition))
             summary[period] = {
                 "runs": brim.run_summary(results),
                 "best_run_id": best.run_id,
@@ -244,7 +253,7 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         ),
     )
-    return summary
+    return runs, sequence
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -296,17 +305,30 @@ def _load_best_sequence(out: Path):
     ]
 
 
-def cmd_ari(cfg: PipelineConfig) -> list[tuple]:
-    """Agreement among the detection runs of each period, over all pairs."""
+def _load_runs(out: Path):
+    partitions = out / "partitions"
+    return [
+        (period, [brim.read_partition_csv(_partition_dir(partitions, period) / name)
+                  for name in names])
+        for period, names in _detected_runs(out).items()
+    ]
+
+
+def cmd_ari(cfg: PipelineConfig, runs=None) -> list[tuple]:
+    """Agreement among the detection runs of each period, over all pairs.
+
+    ``runs`` is the (period, run partitions) list of the last detect; it is
+    read from ``partitions/`` when not given.
+    """
     out = Path(cfg.output_dir)
+    if runs is None:
+        runs = _load_runs(out)
     rows = []
-    for period, names in _detected_runs(out).items():
-        if len(names) < 2:
+    for period, partitions in runs:
+        if len(partitions) < 2:
             raise InputError(
                 f"period {period}: need at least 2 runs for agreement statistics"
             )
-        pdir = _partition_dir(out / "partitions", period)
-        partitions = [brim.read_partition_csv(pdir / name) for name in names]
         mean, std, pairs = metrics.all_pairs_ari(partitions)
         rows.append((period, mean, std, pairs))
         logger.info("ari %s: mean ARI=%.6f over %d pairs", period, mean, pairs)
@@ -520,10 +542,9 @@ def cmd_synth(args) -> Path:
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """detect -> ari -> track -> enrich, as configured."""
-    cmd_detect(cfg)
+    runs, sequence = cmd_detect(cfg)
     if cfg.runs >= 2:
-        cmd_ari(cfg)
-    sequence = _load_best_sequence(Path(cfg.output_dir))
+        cmd_ari(cfg, runs)
     if len(sequence) >= 2:
         cmd_track(cfg, sequence)
     if cfg.attributes:

@@ -131,11 +131,6 @@ def enrichment_threshold(p_univariate: float, *counts: int) -> float:
     return p_univariate / (total_values * n_communities)
 
 
-def _counts(labels, n_communities):
-    """Nodes per community among ``labels``, as Python ints."""
-    return np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_communities).tolist()
-
-
 def test_overexpression(
     partition: Partition,
     catalog: AttributeCatalog,
@@ -153,7 +148,7 @@ def test_overexpression(
     """
     if not catalog.categories:
         raise InputError("empty attribute catalog")
-    labels = np.array(partition.labels, dtype=np.int64)
+    labels = partition.labels
     n_red, c = len(partition.red_nodes), partition.n_communities
     prepared = []
     value_counts = []
@@ -182,8 +177,8 @@ def test_overexpression(
         n_values = len(values)
         value_counts.append(n_values)
         x = np.bincount(community * n_values + value_ids, minlength=c * n_values)
-        m = _counts(value_ids, n_values)
-        k = _counts(population, c)
+        m = np.bincount(value_ids, minlength=n_values).tolist()
+        k = np.bincount(population, minlength=c).tolist()
         prepared.append(
             (category, values, x.reshape(c, n_values).tolist(), m, k, population.size)
         )
@@ -230,7 +225,8 @@ def community_report(
                 record.value
             )
     c = partition.n_communities
-    n_red, n_blue = _counts(partition.red_labels, c), _counts(partition.blue_labels, c)
+    n_red = np.bincount(partition.red_labels, minlength=c).tolist()
+    n_blue = np.bincount(partition.blue_labels, minlength=c).tolist()
     rows = []
     for community in range(c):
         row = {

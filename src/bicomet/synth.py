@@ -191,7 +191,7 @@ def generate_graph(model: PlantedModel) -> tuple[BipartiteGraph, Partition]:
     red_m, blue_m = _planted_memberships(model)
     rng = generator(model.seed, STREAM_SYNTH_EDGES, 0)
     graph = _draw_edges(model, red_m, blue_m, rng)
-    truth = Partition.from_arrays(
+    truth = Partition(
         graph.red_nodes, graph.blue_nodes, red_m, blue_m, len(model.communities)
     )
     return graph, truth
@@ -296,12 +296,12 @@ def generate_sequence(
 
         alive_now = sorted(set(red_m.tolist()) | set(blue_m.tolist()))
         dense = {stable: i for i, stable in enumerate(alive_now)}
-        red_dense = np.asarray([dense[g] for g in red_m.tolist()], dtype=np.int64)
-        blue_dense = np.asarray([dense[g] for g in blue_m.tolist()], dtype=np.int64)
+        red_dense = np.searchsorted(alive_now, red_m)
+        blue_dense = np.searchsorted(alive_now, blue_m)
 
         rng_edges = generator(model.seed, STREAM_SYNTH_EDGES, t)
         graph = _draw_edges(model, red_m, blue_m, rng_edges)
-        truth = Partition.from_arrays(
+        truth = Partition(
             graph.red_nodes, graph.blue_nodes, red_dense, blue_dense, len(alive_now)
         )
         periods.append((label, graph))
@@ -362,13 +362,10 @@ def generate_catalog(
         for plant in plants:
             if plant.category != plan.name:
                 continue
-            member_idx = [
-                i for i, g in enumerate(node_labels) if g == plant.community
-            ]
-            mask = rng.random(len(member_idx)) < plant.penetration
-            for i, hit in zip(member_idx, mask.tolist()):
-                if hit:
-                    assigned[i] = plant.value
+            member_idx = np.flatnonzero(node_labels == plant.community)
+            mask = rng.random(member_idx.size) < plant.penetration
+            for i in member_idx[mask].tolist():
+                assigned[i] = plant.value
         rows.extend(
             (node, plan.name, value) for node, value in zip(nodes, assigned)
         )
@@ -454,7 +451,7 @@ def exhaustive_modularity_oracle(
         arg = int(np.argmax(nums))
         if best_num is None or nums[arg] > best_num:
             best_num = int(nums[arg])
-            best_labels = tuple(int(x) for x in chunk[arg])
+            best_labels = chunk[arg]
     partition = Partition.from_arrays(
         graph.red_nodes,
         graph.blue_nodes,
@@ -472,7 +469,7 @@ def write_ground_truth(truths, labels, path) -> None:
         (
             (node, label, community)
             for label, truth in zip(labels, truths)
-            for node, community in zip(truth.nodes, truth.labels)
+            for node, community in zip(truth.nodes, truth.labels.tolist())
         ),
     )
 

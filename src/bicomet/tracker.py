@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -174,16 +175,13 @@ def sequence_bonferroni(
 
 
 def _joint_population(partition_a, partition_b, rule):
-    ids_a = partition_a.node_set()
-    ids_b = partition_b.node_set()
+    in_b = partition_b.positions_of(partition_a.nodes) >= 0
+    n_common = int(np.count_nonzero(in_b))
     if rule == POPULATION_UNION:
-        return len(ids_a | ids_b), partition_a, partition_b
-    common = ids_a & ids_b
-    return (
-        len(common),
-        partition_a.restricted_to(common),
-        partition_b.restricted_to(common),
-    )
+        union = len(partition_a.nodes) + len(partition_b.nodes) - n_common
+        return union, partition_a, partition_b
+    common = tuple(compress(partition_a.nodes, in_b))
+    return n_common, partition_a.restricted_to(common), partition_b.restricted_to(common)
 
 
 def track_sequence(

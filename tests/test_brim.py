@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -51,24 +52,27 @@ def random_graph(rng, max_red=4, max_total=8, min_edges=1):
     return BipartiteGraph(edges, red_nodes=reds, blue_nodes=blues)
 
 
+def label_map(partition):
+    return dict(zip(partition.nodes, partition.labels.tolist()))
+
+
 class TestPartition:
     def test_compact_renumbers_canonically(self):
         part = Partition.from_arrays(("r0",), ("b0", "b1"), [5], [5, 2], 6)
         compacted = part.compact()
-        assert compacted.red_labels == (0,)
-        assert compacted.blue_labels == (0, 1)
+        assert compacted.red_labels.tolist() == [0]
+        assert compacted.blue_labels.tolist() == [0, 1]
         assert compacted.n_communities == 2
 
     def test_compact_is_node_order_independent(self):
         a = Partition.from_arrays(("r0", "r1"), ("b0",), [3, 1], [1], 4).compact()
         b = Partition.from_arrays(("r1", "r0"), ("b0",), [1, 3], [1], 4).compact()
-        assert a.as_dict() == b.as_dict()
+        assert label_map(a) == label_map(b)
 
     def test_members_by_side(self):
         part = Partition.from_arrays(("r0", "r1"), ("b0",), [0, 1], [0])
-        assert part.red_members(0) == {"r0"}
-        assert part.blue_members(0) == {"b0"}
-        assert part.members(0) == {"r0", "b0"}
+        assert part.red_labels.tolist() == [0, 1]
+        assert part.blue_labels.tolist() == [0]
         assert part.sizes() == (2, 1)
 
     def test_label_out_of_range_rejected(self):
@@ -81,6 +85,107 @@ class TestPartition:
         assert sub.red_nodes == ("r1",)
         assert sub.n_communities == 2
         assert sub.sizes() == (0, 2)
+
+    def test_restriction_matches_filtering_node_by_node(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n_red, n_blue = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+            reds = [f"r{i}" for i in rng.permutation(n_red)]
+            blues = [f"b{j}" for j in rng.permutation(n_blue)]
+            c = int(rng.integers(1, 4))
+            part = Partition(
+                reds, blues, rng.integers(0, c, n_red), rng.integers(0, c, n_blue), c
+            )
+            pool = reds + blues + ["x0", "x1"]
+            keep = [n for n in pool if rng.random() < 0.5] * int(rng.integers(1, 3))
+            sub = part.restricted_to(n for n in keep)
+            mapping = label_map(part)
+            red_kept = [n for n in reds if n in keep]
+            blue_kept = [n for n in blues if n in keep]
+            assert sub == Partition(
+                red_kept, blue_kept, [mapping[n] for n in red_kept],
+                [mapping[n] for n in blue_kept], c,
+            )
+
+    def test_labels_are_one_int64_array_red_first(self):
+        part = Partition(("r0", "r1"), ("b0",), [2, 0], [1], 3)
+        assert part.labels.dtype == np.int64
+        assert part.labels.tolist() == [2, 0, 1]
+        assert part.red_labels.base is part.labels
+        assert part.blue_labels.base is part.labels
+
+    def test_labels_are_read_only(self):
+        part = Partition(("r0",), ("b0", "b1"), [0], [1, 0], 2)
+        for labels in (part.labels, part.red_labels, part.blue_labels):
+            with pytest.raises(ValueError):
+                labels[0] = 1
+
+    def test_caller_arrays_are_copied(self):
+        red = np.array([0, 1], dtype=np.int64)
+        part = Partition(("r0", "r1"), (), red, [], 2)
+        red[0] = 1
+        assert part.red_labels.tolist() == [0, 1]
+
+    def test_lists_and_int64_arrays_give_equal_partitions(self):
+        from_lists = Partition.from_arrays(("r0", "r1"), ("b0",), [0, 1], [1])
+        from_arrays = Partition.from_arrays(
+            ("r0", "r1"), ("b0",), np.array([0, 1], dtype=np.int64),
+            np.array([1], dtype=np.int64),
+        )
+        assert from_lists == from_arrays
+        assert from_lists.n_communities == from_arrays.n_communities == 2
+
+    def test_equality(self):
+        part = Partition(("r0", "r1"), ("b0",), [0, 1], [1], 2)
+        assert part == Partition(["r0", "r1"], ["b0"], (0, 1), (1,), 2)
+        assert part != Partition(("r0", "r1"), ("b0",), [1, 1], [1], 2)
+        assert part != Partition(("r1", "r0"), ("b0",), [0, 1], [1], 2)
+        assert part != Partition(("r0",), ("r1", "b0"), [0], [1, 1], 2)
+        assert part != Partition(("r0", "r1"), ("b0",), [0, 1], [1], 3)
+        assert part != (("r0", "r1"), ("b0",), (0, 1), (1,), 2)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Partition(("r0",), (), [0], [], 1))
+
+    def test_pickle_round_trip_keeps_labels_read_only(self):
+        part = Partition(("r0", "r1"), ("b0",), [0, 1], [1], 2)
+        again = pickle.loads(pickle.dumps(part))
+        assert again == part
+        assert not again.labels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "red_nodes, blue_nodes, red_labels, blue_labels, message",
+        [
+            (("r0", "r1"), ("b0",), [0], [0], "red node and label counts differ"),
+            (("r0",), ("b0",), [0], [0, 0], "blue node and label counts differ"),
+        ],
+    )
+    def test_length_mismatch_message(
+        self, red_nodes, blue_nodes, red_labels, blue_labels, message
+    ):
+        for labels in (red_labels, np.array(red_labels, dtype=np.int64)):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                Partition(red_nodes, blue_nodes, labels, blue_labels, 2)
+
+    @pytest.mark.parametrize(
+        "red_labels, blue_labels, message",
+        [
+            ([0, 2], [3], r"^label 2 outside \[0, 2\)$"),
+            ([0, 1], [-1], r"^label -1 outside \[0, 2\)$"),
+            ([-4, 5], [1], r"^label -4 outside \[0, 2\)$"),
+        ],
+    )
+    def test_out_of_range_message_names_first_bad_label(
+        self, red_labels, blue_labels, message
+    ):
+        with pytest.raises(InputError, match=message):
+            Partition(("r0", "r1"), ("b0",), red_labels, blue_labels, 2)
+
+    def test_empty_partition_allows_zero_communities(self):
+        assert Partition((), (), [], [], 0).sizes() == ()
+        with pytest.raises(InputError, match=r"^label 0 outside \[0, 0\)$"):
+            Partition(("r0",), (), [0], [], 0)
 
 
 class TestModularity:
@@ -117,7 +222,7 @@ class TestBrimStep:
         g = disjoint_bicliques(2, 1, 1)
         start = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 1], [0, 1])
         stepped = brim_step(g, start, RED)
-        assert stepped.red_labels == (0, 1)
+        assert stepped.red_labels.tolist() == [0, 1]
         assert bipartite_modularity(g, stepped) == pytest.approx(0.5, abs=1e-12)
 
     def test_fixed_point_is_idempotent(self):
@@ -157,7 +262,7 @@ class TestBrimStep:
 def dense_brim_step(graph, partition, side):
     """Reference oracle: the dense n x c argmax step that the sparse
     ``brim_step`` replaced.  Returns (red labels, blue labels) as lists."""
-    mapping = partition.as_dict()
+    mapping = label_map(partition)
     red_l = np.array([mapping[n] for n in graph.red_nodes], dtype=np.int64)
     blue_l = np.array([mapping[n] for n in graph.blue_nodes], dtype=np.int64)
     c = partition.n_communities
@@ -203,9 +308,9 @@ class TestSparseStepMatchesDenseOracle:
             part = random_partition(g, c, rng)
             for side in (RED, BLUE):
                 stepped = brim_step(g, part, side)
-                assert (stepped.red_labels, stepped.blue_labels) == tuple(
-                    tuple(x) for x in dense_brim_step(g, part, side)
-                )
+                assert (
+                    stepped.red_labels.tolist(), stepped.blue_labels.tolist()
+                ) == dense_brim_step(g, part, side)
                 assert stepped.n_communities == c
         assert isolated > 0
 
@@ -216,8 +321,8 @@ class TestSparseStepMatchesDenseOracle:
             blue_nodes=["b0", "b1", "b2"],
         )
         part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 0, 1], [1, 0, 1], 2)
-        assert brim_step(g, part, RED).red_labels == (1, 0, 0)
-        assert brim_step(g, part, BLUE).blue_labels == (1, 0, 0)
+        assert brim_step(g, part, RED).red_labels.tolist() == [1, 0, 0]
+        assert brim_step(g, part, BLUE).blue_labels.tolist() == [1, 0, 0]
 
     @pytest.mark.parametrize(
         "blue_label, c",
@@ -234,8 +339,8 @@ class TestSparseStepMatchesDenseOracle:
         g = BipartiteGraph([("r0", "b0"), ("r1", "b0")])
         part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 1], [blue_label], c)
         stepped = brim_step(g, part, RED)
-        assert stepped.red_labels == (0, 0)
-        assert list(stepped.red_labels) == dense_brim_step(g, part, RED)[0]
+        assert stepped.red_labels.tolist() == [0, 0]
+        assert stepped.red_labels.tolist() == dense_brim_step(g, part, RED)[0]
 
 
 def pinned_graph():
@@ -262,8 +367,8 @@ class TestPinnedPartitions:
                 r.run_id,
                 r.iterations,
                 r.modularity,
-                list(r.partition.red_labels),
-                list(r.partition.blue_labels),
+                r.partition.red_labels.tolist(),
+                r.partition.blue_labels.tolist(),
             ]
             for r in results
         ]

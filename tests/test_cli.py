@@ -147,6 +147,32 @@ class TestDetectCommand:
         assert not (tmp_path / "out" / "ari.csv").exists()
         assert not (tmp_path / "out" / "links.csv").exists()
 
+    def test_bad_period_label_fails_before_any_optimizer_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import bicomet.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text("b1,f1\nb2,f1\nb2,f2\n")
+        (tmp_path / "manifest.csv").write_text("period,edges\np00,e.csv\np01/x,e.csv\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text(
+            "[pipeline]\nmanifest = manifest.csv\noutput_dir = out\nruns = 2\n"
+            "restarts_per_run = 1\n"
+        )
+        calls = []
+        multirun = cli_mod.brim.brim_multirun
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return multirun(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.brim, "brim_multirun", counted)
+        assert main(["detect", "--config", str(config)]) == 1
+        assert "'p01/x' is not usable as a directory name" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_missing_manifest_is_input_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, manifest="missing/nowhere.csv")
@@ -318,7 +344,17 @@ class TestPipeline:
 
         monkeypatch.setattr(cli_mod.brim, "read_partition_csv", counted)
         assert main(["pipeline", "--config", str(config)]) == 0
-        assert reads.count("best.csv") == 3
+        assert reads == []
+
+    def test_pipeline_equals_separate_commands(self, workspace):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        separate = ["--config", str(config), "--output-dir", str(tmp_path / "separate")]
+        for command in ("detect", "ari", "track", "enrich"):
+            assert main([command, *separate]) == 0
+        piped = tree_bytes(tmp_path / "out")
+        assert {"ari.csv", "links.csv", "enrichment_records.csv"} <= set(piped)
+        assert tree_bytes(tmp_path / "separate") == piped
 
     @pytest.mark.parametrize("periods", [3, 1])
     def test_rerun_removes_stale_downstream_outputs(self, workspace, periods):

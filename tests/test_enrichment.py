@@ -246,7 +246,7 @@ class TestReport:
 def dict_overexpression(partition, catalog, config=EnrichmentConfig(), period=""):
     """Reference oracle: the set-and-Counter ``test_overexpression`` that the
     node-aligned cross-tabulation replaced."""
-    partition_nodes = partition.node_set()
+    partition_nodes = set(partition.nodes)
     red, blue = set(partition.red_nodes), set(partition.blue_nodes)
     prepared = []
     value_counts = []
@@ -273,7 +273,9 @@ def dict_overexpression(partition, catalog, config=EnrichmentConfig(), period=""
     )
     records = []
     for community in range(partition.n_communities):
-        members = partition.members(community)
+        members = {
+            n for n, g in zip(partition.nodes, partition.labels.tolist()) if g == community
+        }
         for category, carriers, population_nodes, values, global_counts in prepared:
             member_pop = members & population_nodes
             member_counts = Counter(carriers[n] for n in member_pop if n in carriers)
@@ -290,10 +292,8 @@ def dict_overexpression(partition, catalog, config=EnrichmentConfig(), period=""
 
 def dict_side_counts(partition):
     """Reference oracle for the report's per-side community sizes."""
-    return [
-        (len(partition.red_members(g)), len(partition.blue_members(g)))
-        for g in range(partition.n_communities)
-    ]
+    red, blue = partition.red_labels.tolist(), partition.blue_labels.tolist()
+    return [(red.count(g), blue.count(g)) for g in range(partition.n_communities)]
 
 
 def random_attributed(rng):

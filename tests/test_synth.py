@@ -88,7 +88,9 @@ class TestGenerateSequence:
         )
         assert len(series) == 4
         for a, b in zip(truths, truths[1:]):
-            assert a.as_dict() == b.as_dict()
+            assert dict(zip(a.nodes, a.labels.tolist())) == dict(
+                zip(b.nodes, b.labels.tolist())
+            )
         assert len(lineage) == 3 * 3
         assert all(e.community_from == e.community_to for e in lineage)
 
@@ -127,9 +129,9 @@ class TestGenerateSequence:
         )
         script = TemporalScript(periods=5, churn=0.1)
         _, truths, _ = generate_sequence(model, script)
-        first = truths[0].members(0)
-        last = truths[-1]
-        survivors = sum(1 for n in first if last.as_dict()[n] == 0)
+        first = [n for n, g in zip(truths[0].nodes, truths[0].labels.tolist()) if g == 0]
+        last = dict(zip(truths[-1].nodes, truths[-1].labels.tolist()))
+        survivors = sum(1 for n in first if last[n] == 0)
         expected = len(first) * 0.9**4
         # churned nodes can also churn back in; bound loosely at 4 sigma
         sigma = math.sqrt(len(first) * 0.9**4 * (1 - 0.9**4))
@@ -163,7 +165,7 @@ class TestCatalogGeneration:
         plants = [AttributePlant(category="sector", value="Z", community=0, penetration=1.0)]
         catalog = generate_catalog(truth, plans, seed=3, plants=plants)
         assigned = catalog.assignments("sector")
-        members = truth.blue_members(0)
+        members = {n for n, g in zip(truth.blue_nodes, truth.blue_labels.tolist()) if g == 0}
         assert all(assigned[n] == "Z" for n in members)
         others = set(assigned) - members
         assert all(assigned[n] != "Z" for n in others)

@@ -397,9 +397,9 @@ def dict_track_pair(partition_from, partition_to, population, threshold,
     node-aligned cross-tabulation replaced (size checks left out)."""
     sizes_from = partition_from.sizes()
     sizes_to = partition_to.sizes()
-    map_to = partition_to.as_dict()
+    map_to = dict(zip(partition_to.nodes, partition_to.labels.tolist()))
     overlaps = {}
-    for node, gi in partition_from.as_dict().items():
+    for node, gi in zip(partition_from.nodes, partition_from.labels.tolist()):
         gj = map_to.get(node)
         if gj is not None:
             overlaps[(gi, gj)] = overlaps.get((gi, gj), 0) + 1
@@ -423,7 +423,7 @@ def dict_track_sequence(sequence, config):
     threshold = sequence_bonferroni(sequence, config.p_univariate)
     links = []
     for (label_a, part_a), (label_b, part_b) in zip(sequence, sequence[1:]):
-        ids_a, ids_b = part_a.node_set(), part_b.node_set()
+        ids_a, ids_b = set(part_a.nodes), set(part_b.nodes)
         if config.population_rule == "union":
             population = len(ids_a | ids_b)
         else:
@@ -471,7 +471,7 @@ class TestOverlapsMatchDictOracle:
         rng = np.random.default_rng(11)
         for i in range(300):
             a, b = random_period_pair(rng, i % 5)
-            population = len(a.node_set() | b.node_set())
+            population = len(set(a.nodes) | set(b.nodes))
             threshold = float(rng.choice([1e-3, 0.05, 0.5]))
             got = track_pair(a, b, population, threshold, "p0", "p1")
             assert got == dict_track_pair(a, b, population, threshold, "p0", "p1")
@@ -482,6 +482,6 @@ class TestOverlapsMatchDictOracle:
         config = TrackerConfig(p_univariate=0.05, population_rule=rule)
         for i in range(100):
             a, b = random_period_pair(rng, i % 5)
-            c = random_labelled(rng, list(b.node_set() | {"z0", "z1"}))
+            c = random_labelled(rng, list(set(b.nodes) | {"z0", "z1"}))
             sequence = [("p0", a), ("p1", b), ("p2", c)]
             assert track_sequence(sequence, config) == dict_track_sequence(sequence, config)
