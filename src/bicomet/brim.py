@@ -380,6 +380,11 @@ def brim_multirun(
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_best_of_run, jobs))
+        # each result comes back with its own unpickled copy of the node ids;
+        # share the graph's tuples, as the serial runs do
+        for result in results:
+            result.partition.red_nodes = graph.red_nodes
+            result.partition.blue_nodes = graph.blue_nodes
     else:
         results = [_best_of_run(job) for job in jobs]
     return results

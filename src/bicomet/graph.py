@@ -3,25 +3,35 @@
 Node identifiers are opaque strings.  Each side receives a dense integer
 index in first-appearance order (explicitly declared nodes first, then edge
 endpoints as encountered), which keeps every downstream computation
-reproducible across runs and machines.
+reproducible across runs and machines.  Every graph is built from index
+arrays by ``BipartiteGraph.from_indices``; the string constructor and the
+edge-list loader only turn identifiers into those indices.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .table import read_rows, write_rows
+from .table import read_columns, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
 RED = "red"
 BLUE = "blue"
+
+
+class _RowError(InputError):
+    """An InputError about one edge, at ``row`` of the edge sequence."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 class BipartiteGraph:
@@ -43,70 +53,56 @@ class BipartiteGraph:
     )
 
     def __init__(self, edges, red_nodes=(), blue_nodes=()):
-        red_index: dict[str, int] = {}
-        blue_index: dict[str, int] = {}
-        red_order: list[str] = []
-        blue_order: list[str] = []
-
-        def declare(node, index, order, side):
-            node = str(node)
-            if not node:
-                raise InputError("empty node identifier")
-            if node in index:
-                raise InputError(f"node {node!r} declared twice on side {side}")
-            index[node] = len(order)
-            order.append(node)
-
-        for node in red_nodes:
-            declare(node, red_index, red_order, RED)
-        for node in blue_nodes:
-            declare(node, blue_index, blue_order, BLUE)
-        both = red_index.keys() & blue_index.keys()
-        if both:
-            raise InputError(f"identifier(s) on both sides: {sorted(both)[:5]}")
-
-        def intern(node, index, order, other_index):
-            node = str(node)
-            if not node:
-                raise InputError("empty node identifier in edge")
-            if node in other_index:
-                raise InputError(f"identifier {node!r} appears on both sides")
-            i = index.get(node)
-            if i is None:
-                i = len(order)
-                index[node] = i
-                order.append(node)
-            return i
-
-        pairs: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        dropped = 0
-        for edge in edges:
-            r, b = edge
-            key = (
-                intern(r, red_index, red_order, blue_index),
-                intern(b, blue_index, blue_order, red_index),
+        pairs = [(str(r), str(b)) for r, b in edges]
+        red_ids, blue_ids = map(list, zip(*pairs)) if pairs else ([], [])
+        self._build(
+            *_index_edges(
+                red_ids, blue_ids, list(map(str, red_nodes)), list(map(str, blue_nodes))
             )
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
+        )
 
-        if not red_order and not blue_order:
+    @classmethod
+    def from_indices(cls, red_nodes, blue_nodes, edge_red, edge_blue):
+        """Graph over the given node ids, edge i joining red node
+        ``edge_red[i]`` to blue node ``edge_blue[i]``.
+
+        Node ids must be non-empty, unique on each side and on one side only;
+        the index arrays must be of equal length and in range.  Duplicate
+        edges are collapsed and counted; edges come out sorted by (red, blue).
+        """
+        graph = cls.__new__(cls)
+        graph._build(red_nodes, blue_nodes, edge_red, edge_blue)
+        return graph
+
+    def _build(self, red_nodes, blue_nodes, edge_red, edge_blue):
+        red_nodes = tuple(map(str, red_nodes))
+        blue_nodes = tuple(map(str, blue_nodes))
+        _check_nodes(red_nodes, blue_nodes)
+        n_red, n_blue = len(red_nodes), len(blue_nodes)
+        edge_red = _index_array(edge_red, RED, n_red)
+        edge_blue = _index_array(edge_blue, BLUE, n_blue)
+        if edge_red.size != edge_blue.size:
+            raise InputError(
+                f"edge index arrays differ in length: {edge_red.size} red, "
+                f"{edge_blue.size} blue"
+            )
+        if not n_red and not n_blue:
             raise InputError("empty graph: no nodes and no edges")
 
-        pairs.sort()
-        arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        edge_red = np.ascontiguousarray(arr[:, 0])
-        edge_blue = np.ascontiguousarray(arr[:, 1])
-        red_deg = np.bincount(edge_red, minlength=len(red_order)).astype(np.int64)
-        blue_deg = np.bincount(edge_blue, minlength=len(blue_order)).astype(np.int64)
+        # sorted unique keys red * n_blue + blue: (red, blue) order, no duplicates
+        keys = np.sort(edge_red * n_blue + edge_blue)
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        dropped = keys.size - int(fresh.sum())
+        keys = keys[fresh]
+        edge_red, edge_blue = np.divmod(keys, max(n_blue, 1))
+        red_deg = np.bincount(edge_red, minlength=n_red).astype(np.int64)
+        blue_deg = np.bincount(edge_blue, minlength=n_blue).astype(np.int64)
         for a in (edge_red, edge_blue, red_deg, blue_deg):
             a.setflags(write=False)
 
-        self.red_nodes = tuple(red_order)
-        self.blue_nodes = tuple(blue_order)
+        self.red_nodes = red_nodes
+        self.blue_nodes = blue_nodes
         self.edge_red = edge_red
         self.edge_blue = edge_blue
         self.red_degrees = red_deg
@@ -158,6 +154,94 @@ class BipartiteGraph:
             setattr(self, name, value)
 
 
+def _first_bad_node(nodes, side):
+    """(position, message) of the first empty or repeated id among one side's
+    declared ``nodes``, or None when there is none."""
+    if "" not in nodes and len(set(nodes)) == len(nodes):
+        return None
+    seen = set()
+    for i, node in enumerate(nodes):
+        if not node:
+            return i, "empty node identifier"
+        if node in seen:
+            return i, f"node {node!r} declared twice on side {side}"
+        seen.add(node)
+
+
+def _check_nodes(red_nodes, blue_nodes) -> None:
+    for nodes, side in ((red_nodes, RED), (blue_nodes, BLUE)):
+        bad = _first_bad_node(nodes, side)
+        if bad:
+            raise InputError(bad[1])
+    both = set(red_nodes).intersection(blue_nodes)
+    if both:
+        raise InputError(f"identifier(s) on both sides: {sorted(both)[:5]}")
+
+
+def _index_array(values, side: str, n_nodes: int) -> np.ndarray:
+    """One side's edge indices as int64, checked to lie in [0, n_nodes)."""
+    values = np.asarray(values)
+    if values.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if values.ndim != 1 or not np.issubdtype(values.dtype, np.integer):
+        raise InputError(f"{side} edge indices must be a 1-d integer array")
+    values = values.astype(np.int64, copy=False)
+    outside = (values < 0) | (values >= n_nodes)
+    if outside.any():
+        raise InputError(
+            f"{side} edge index {values[outside][0]} outside [0, {n_nodes})"
+        )
+    return values
+
+
+def _index_ids(declared, ids):
+    """One side's node ids in first-appearance order, ``declared`` first, and
+    the index of every id of ``ids`` among them."""
+    index = {node: i for i, node in enumerate(dict.fromkeys(chain(declared, ids)))}
+    return tuple(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _index_edges(red_ids, blue_ids, red_declared, blue_declared):
+    """Node tuples and edge index arrays for ``from_indices`` of an edge list
+    given as two id columns, declared ids first.
+
+    Declared ids are checked as by ``from_indices``.  An empty id, or an id
+    met on both sides, raises _RowError at the first edge holding one, with
+    each edge's red id read before its blue id and declared ids before every
+    edge.
+    """
+    _check_nodes(red_declared, blue_declared)
+    red_nodes, edge_red = _index_ids(red_declared, red_ids)
+    blue_nodes, edge_blue = _index_ids(blue_declared, blue_ids)
+    if "" in red_nodes or "" in blue_nodes or not set(red_nodes).isdisjoint(blue_nodes):
+        red_met = _first_met(len(red_nodes), edge_red, len(red_declared), 0)
+        blue_met = _first_met(len(blue_nodes), edge_blue, len(blue_declared), 1)
+        faults = [
+            (met[nodes.index("")], "empty node identifier in edge")
+            for nodes, met in ((red_nodes, red_met), (blue_nodes, blue_met))
+            if "" in nodes
+        ]
+        blue_at = dict(zip(blue_nodes, blue_met.tolist()))
+        faults += [
+            (max(met, blue_at[node]), f"identifier {node!r} appears on both sides")
+            for node, met in zip(red_nodes, red_met.tolist())
+            if node and node in blue_at
+        ]
+        position, message = min(faults)
+        raise _RowError(int(position) // 2, message)
+    return red_nodes, blue_nodes, edge_red, edge_blue
+
+
+def _first_met(n_nodes: int, edges, n_declared: int, offset: int) -> np.ndarray:
+    """Read position at which each node of one side is first met: -1 when
+    declared, else 2 * edge + offset (0 on the red side, 1 on the blue)."""
+    met = np.full(n_nodes, -1, dtype=np.int64)
+    codes, first = np.unique(edges, return_index=True)
+    fresh = codes >= n_declared
+    met[codes[fresh]] = 2 * first[fresh] + offset
+    return met
+
+
 def density(graph: BipartiteGraph) -> float:
     """Observed links over potential links, m / (n_red * n_blue)."""
     if graph.n_red == 0 or graph.n_blue == 0:
@@ -171,20 +255,34 @@ def degree_sequences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_node_list(path, delimiter: str = ",", header: bool = False):
-    """Read a `node_id,side` file; returns (red_ids, blue_ids) in file order."""
-    red: list[str] = []
-    blue: list[str] = []
-    for lineno, cells in read_rows(path, delimiter, header):
-        if len(cells) != 2:
-            raise InputError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
-        node, side = cells
-        side = side.lower()
-        if side == RED:
-            red.append(node)
-        elif side == BLUE:
-            blue.append(node)
-        else:
-            raise InputError(f"{path}:{lineno}: unknown side {side!r}")
+    """Read a `node_id,side` file; returns (red_ids, blue_ids) in file order.
+
+    Raises InputError at ``path:line`` on a row with an unknown side, an
+    empty id, an id declared twice on one side or on both sides.
+    """
+    lines, (nodes, sides) = read_columns(path, 2, delimiter, header)
+    sides = list(map(str.lower, sides))
+    is_red = np.fromiter(map(RED.__eq__, sides), bool, len(sides))
+    is_blue = np.fromiter(map(BLUE.__eq__, sides), bool, len(sides))
+    unknown = np.flatnonzero(~(is_red | is_blue))
+    if unknown.size:
+        i = unknown[0]
+        raise InputError(f"{path}:{lines[i]}: unknown side {sides[i]!r}")
+    red, blue = list(compress(nodes, is_red)), list(compress(nodes, is_blue))
+    for ids, side_lines, side in ((red, lines[is_red], RED), (blue, lines[is_blue], BLUE)):
+        bad = _first_bad_node(ids, side)
+        if bad:
+            raise InputError(f"{path}:{side_lines[bad[0]]}: {bad[1]}")
+    both = set(red).intersection(blue)
+    if both:
+        # no side repeats an id, so the first repeat in the file is on the other side
+        seen = set()
+        for line, node in zip(lines.tolist(), nodes):
+            if node in seen:
+                raise InputError(
+                    f"{path}:{line}: identifier(s) on both sides: {sorted(both)[:5]}"
+                )
+            seen.add(node)
     return red, blue
 
 
@@ -198,27 +296,24 @@ def load_edge_list(
 
     An optional node-list file (`node_id,side`) declares node ordering and
     isolated nodes.  Duplicate edges are collapsed; the count is logged and
-    stored on the graph.  Raises InputError on malformed rows, identifiers
-    appearing on both sides, or a graph with no nodes at all.
+    stored on the graph.  Raises InputError at ``file:line`` on malformed
+    rows and identifiers appearing on both sides, and on a graph with no
+    nodes at all.
     """
     red_nodes: list[str] = []
     blue_nodes: list[str] = []
     if node_list_path is not None:
         red_nodes, blue_nodes = load_node_list(node_list_path, delimiter, header)
 
-    edges = []
-    for lineno, cells in read_rows(path, delimiter, header):
-        if len(cells) != 2:
-            raise InputError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
-        edges.append((cells[0], cells[1]))
-
-    if not edges and not red_nodes and not blue_nodes:
+    lines, (red_ids, blue_ids) = read_columns(path, 2, delimiter, header)
+    if not lines.size and not red_nodes and not blue_nodes:
         raise InputError(f"empty graph: {path} has no edges and no declared nodes")
 
     try:
-        graph = BipartiteGraph(edges, red_nodes=red_nodes, blue_nodes=blue_nodes)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        indexed = _index_edges(red_ids, blue_ids, red_nodes, blue_nodes)
+    except _RowError as exc:
+        raise InputError(f"{path}:{lines[exc.row]}: {exc}") from exc
+    graph = BipartiteGraph.from_indices(*indexed)
     if graph.duplicates_dropped:
         logger.info(
             "%s: dropped %d duplicate edge(s)", path, graph.duplicates_dropped

@@ -169,11 +169,11 @@ def _draw_edges(model, red_membership, blue_membership, rng) -> BipartiteGraph:
     same = red_membership[:, None] == blue_membership[None, :]
     probs = np.where(same, model.p_in, model.p_out)
     hits = rng.random(probs.shape) < probs
-    red_names = _node_names("r", len(red_membership))
-    blue_names = _node_names("b", len(blue_membership))
-    ri, bi = np.nonzero(hits)
-    edges = [(red_names[r], blue_names[b]) for r, b in zip(ri.tolist(), bi.tolist())]
-    return BipartiteGraph(edges, red_nodes=red_names, blue_nodes=blue_names)
+    return BipartiteGraph.from_indices(
+        _node_names("r", len(red_membership)),
+        _node_names("b", len(blue_membership)),
+        *np.nonzero(hits),
+    )
 
 
 def _planted_memberships(model) -> tuple[np.ndarray, np.ndarray]:

@@ -449,6 +449,15 @@ class TestMultirun:
         parallel = brim_multirun(g, runs=4, restarts_per_run=4, master_seed=9, workers=3)
         assert serial == parallel
 
+    def test_parallel_runs_share_the_graph_node_ids(self):
+        g = disjoint_bicliques(3, 2, 3)
+        serial = brim_multirun(g, runs=4, restarts_per_run=3, master_seed=4)
+        parallel = brim_multirun(g, runs=4, restarts_per_run=3, master_seed=4, workers=2)
+        for s, p in zip(serial, parallel):
+            assert p.partition.red_nodes is g.red_nodes
+            assert p.partition.blue_nodes is g.blue_nodes
+            assert p.partition.labels.tolist() == s.partition.labels.tolist()
+
     def test_rejects_bad_counts(self):
         g = disjoint_bicliques(1, 1, 1)
         with pytest.raises(ValueError):
