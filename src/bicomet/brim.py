@@ -194,12 +194,12 @@ def _best_labels(graph: BipartiteGraph, side: str, fixed_labels, n_communities):
     """Best community of every node on ``side``, the other side's labels fixed.
 
     A node's score for community g is count * m - degree * fixed_mass[g],
-    where count is its number of edges into g.  Only the (node, community)
-    pairs that edges touch are built, by sorting the keys
-    node * c + label; every other community scores -degree * fixed_mass, so
-    the best of them is the fallback community of least fixed mass (lowest
-    label).  The argmax breaks ties by the lowest label, and degree-0 nodes
-    (all scores 0) take label 0.  Memory is O(m), not O(n * c).
+    where count is its number of edges into g.  The argmax breaks ties by the
+    lowest label, and degree-0 nodes (all scores 0) take label 0.  When the
+    n x c table fits in 2m cells (c is small after the first sweep), the
+    counts are one ``bincount`` into that dense table; otherwise only the
+    (node, community) pairs that edges touch are scored.  Either way memory
+    is O(m), not O(n * c).
     """
     c = n_communities
     m = graph.n_edges
@@ -210,8 +210,31 @@ def _best_labels(graph: BipartiteGraph, side: str, fixed_labels, n_communities):
         moving, fixed = graph.edge_blue, graph.edge_red
         degrees, fixed_degrees = graph.blue_degrees, graph.red_degrees
     fixed_mass = _community_mass(fixed_labels, fixed_degrees, c)
-
     key = moving * c + fixed_labels[fixed]
+    if len(degrees) * c <= 2 * m:
+        return _dense_best_labels(key, degrees, fixed_mass, m)
+    return _sparse_best_labels(key, degrees, fixed_mass, m)
+
+
+def _dense_best_labels(key, degrees, fixed_mass, m):
+    """``_best_labels`` over the full n x c table of edge counts, where
+    ``key`` is node * c + label of every edge."""
+    n, c = len(degrees), len(fixed_mass)
+    scores = np.bincount(key, minlength=n * c).reshape(n, c)
+    scores *= m
+    scores -= np.outer(degrees, fixed_mass)
+    return scores.argmax(axis=1)
+
+
+def _sparse_best_labels(key, degrees, fixed_mass, m):
+    """``_best_labels`` over the (node, label) pairs in ``key`` only, by
+    sorting the keys node * c + label (in place).
+
+    Every community no edge of a node reaches scores -degree * fixed_mass,
+    so the best of them is the fallback community of least fixed mass
+    (lowest label).
+    """
+    c = len(fixed_mass)
     key.sort()
     run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     count = np.diff(np.append(run_start, key.size))

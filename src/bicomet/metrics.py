@@ -7,7 +7,6 @@ exactly 1.0 and hand-checkable cases come out as exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,19 +35,40 @@ class ContingencyTable:
     exclusive_b: int
 
 
+def _codes(labels):
+    """The labels that occur, ascending, and every label's index among them.
+
+    Labels are non-negative and below the community count, so one
+    ``bincount`` finds them and a lookup array numbers them.
+    """
+    sizes = np.bincount(labels)
+    present = np.flatnonzero(sizes)
+    lookup = np.zeros(sizes.size, dtype=np.int64)
+    lookup[present] = np.arange(present.size)
+    return present, lookup[labels]
+
+
+def _shared_codes(partition_a: Partition, partition_b: Partition):
+    """``_codes`` of both partitions' labels over their shared nodes."""
+    labels_a, labels_b = partition_a.shared_labels(partition_b)
+    if labels_a.size == 0:
+        raise InputError("partitions share no nodes")
+    return _codes(labels_a), _codes(labels_b)
+
+
+def _pair_count(sizes) -> int:
+    """Sum of C(size, 2) over an int array of group sizes, exact."""
+    return int(np.dot(sizes, sizes - 1)) // 2
+
+
 def contingency(partition_a: Partition, partition_b: Partition) -> ContingencyTable:
     """Contingency table over the intersection of the two node sets.
 
     The shared nodes are counted by one ``bincount`` over the row and column
     labels that occur, so memory is that of the table, never c_a x c_b.
     """
-    labels_a, labels_b = partition_a.shared_labels(partition_b)
-    n = labels_a.size
-    if n == 0:
-        raise InputError("partitions share no nodes")
-    row_labels, col_labels = np.unique(labels_a), np.unique(labels_b)
-    rows = np.searchsorted(row_labels, labels_a)
-    cols = np.searchsorted(col_labels, labels_b)
+    (row_labels, rows), (col_labels, cols) = _shared_codes(partition_a, partition_b)
+    n = rows.size
     shape = (row_labels.size, col_labels.size)
     table = np.bincount(
         rows * shape[1] + cols, minlength=shape[0] * shape[1]
@@ -66,9 +86,18 @@ def contingency(partition_a: Partition, partition_b: Partition) -> ContingencyTa
     )
 
 
-def _is_identity(table: ContingencyTable) -> bool:
-    nonzero = sum(1 for row in table.counts for v in row if v)
-    return nonzero == len(table.row_labels) == len(table.col_labels)
+def _ari(together: int, sum_a: int, sum_b: int, n: int) -> float:
+    """The ARI from exact pair counts: ``together`` node pairs share a
+    community in both partitions, ``sum_a`` and ``sum_b`` in each one."""
+    pairs = n * (n - 1) // 2
+    numerator = 2 * (together * pairs - sum_a * sum_b)
+    denominator = (sum_a + sum_b) * pairs - 2 * sum_a * sum_b
+    if denominator == 0:
+        # the denominator is sum_a * (pairs - sum_b) + sum_b * (pairs - sum_a),
+        # zero only when both partitions are all singletons or both one
+        # block: they agree exactly
+        return 1.0
+    return numerator / denominator
 
 
 def adjusted_rand_index(partition_a: Partition, partition_b: Partition) -> float:
@@ -77,31 +106,44 @@ def adjusted_rand_index(partition_a: Partition, partition_b: Partition) -> float
     Computed on the shared nodes; 1 for identical partitions, about 0 for
     independent ones, possibly negative.  Requires at least 2 shared nodes.
     """
-    table = contingency(partition_a, partition_b)
-    n = table.n
+    (_, rows), (col_labels, cols) = _shared_codes(partition_a, partition_b)
+    n = rows.size
     if n < 2:
         raise InputError("adjusted Rand index needs at least 2 shared nodes")
-    together = sum(math.comb(v, 2) for row in table.counts for v in row)
-    sum_a = sum(math.comb(a, 2) for a in table.row_sums)
-    sum_b = sum(math.comb(b, 2) for b in table.col_sums)
-    pairs = math.comb(n, 2)
-    numerator = 2 * (together * pairs - sum_a * sum_b)
-    denominator = (sum_a + sum_b) * pairs - 2 * sum_a * sum_b
-    if denominator == 0:
-        return 1.0 if _is_identity(table) else 0.0
-    return numerator / denominator
+    together = _pair_count(np.bincount(rows * col_labels.size + cols))
+    sum_a, sum_b = _pair_count(np.bincount(rows)), _pair_count(np.bincount(cols))
+    return _ari(together, sum_a, sum_b, n)
 
 
 def all_pairs_ari(partitions: list[Partition]) -> tuple[float, float, int]:
     """Mean, sample standard deviation, and count over all distinct pairs.
 
-    With 20 partitions that is 190 pairs.  The standard deviation uses the
-    n-1 denominator and is 0.0 when only one pair exists.
+    With 20 partitions that is 190 pairs.  Every partition must cover the
+    first one's node set (InputError otherwise); each is aligned to its node
+    order once, and each pair is one ``bincount`` of label pairs.  The
+    values equal ``adjusted_rand_index`` of every pair.  The standard
+    deviation uses the n-1 denominator and is 0.0 when only one pair exists.
     """
     if len(partitions) < 2:
         raise InputError("need at least 2 partitions to compare")
+    nodes = partitions[0].nodes
+    n = len(nodes)
+    if n < 2:
+        raise InputError("adjusted Rand index needs at least 2 shared nodes")
+    aligned, n_labels, pair_sums = [], [], []
+    for partition in partitions:
+        position = partition.positions_of(nodes)
+        if partition.labels.size != n or (position < 0).any():
+            raise InputError("partitions to compare cover different node sets")
+        present, code = _codes(partition.labels[position])
+        aligned.append(code)
+        n_labels.append(present.size)
+        pair_sums.append(_pair_count(np.bincount(code)))
+    codes = np.stack(aligned)
     values = [
-        adjusted_rand_index(a, b) for a, b in combinations(partitions, 2)
+        _ari(_pair_count(np.bincount(codes[i] * n_labels[j] + codes[j])),
+             pair_sums[i], pair_sums[j], n)
+        for i, j in combinations(range(len(partitions)), 2)
     ]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0

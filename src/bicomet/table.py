@@ -27,6 +27,17 @@ def _open(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _records(handle, delimiter):
+    """Yield (line, row) for every CSV record, numbered by its first
+    physical line, so a quoted cell that holds a line break shifts no
+    later number."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    line = 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
 def read_rows(path, delimiter: str = ",", header: bool = False):
     """Yield (line_number, cells) for non-blank CSV rows, skipping a header.
 
@@ -34,8 +45,7 @@ def read_rows(path, delimiter: str = ",", header: bool = False):
     stripping.  With ``header`` the first line is skipped.
     """
     with _open(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in _records(handle, delimiter):
             cells = [c.strip() for c in row]
             if not any(cells):
                 continue
@@ -53,8 +63,15 @@ def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
     of fields raises InputError at ``path:line``.
     """
     with _open(path) as handle:
-        rows = list(csv.reader(handle, delimiter=delimiter))
-    lines = np.arange(1, len(rows) + 1, dtype=np.int64)
+        reader = csv.reader(handle, delimiter=delimiter)
+        rows = list(reader)
+        if reader.line_num == len(rows):
+            lines = np.arange(1, len(rows) + 1, dtype=np.int64)
+        else:
+            # a quoted cell spans lines: number the records again
+            handle.seek(0)
+            lines = np.fromiter((line for line, _ in _records(handle, delimiter)),
+                                np.int64, len(rows))
     if header:
         rows, lines = rows[1:], lines[1:]
     fits = np.fromiter(map(len, rows), np.int64, len(rows)) == width

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
+from bicomet import brim
 from bicomet.brim import (
     Partition,
     adapt_module_count,
@@ -297,7 +299,39 @@ def graph_with_isolated_nodes(rng):
     return BipartiteGraph(edges, red_nodes=reds, blue_nodes=blues)
 
 
+def kernel_step(kernel, graph, partition, side):
+    """Step ``side`` of ``partition`` by calling a best-label kernel directly;
+    returns (red labels, blue labels) as lists."""
+    mapping = label_map(partition)
+    red_l = np.array([mapping[n] for n in graph.red_nodes], dtype=np.int64)
+    blue_l = np.array([mapping[n] for n in graph.blue_nodes], dtype=np.int64)
+    c = partition.n_communities
+    if side == RED:
+        moving, fixed, fixed_l = graph.edge_red, graph.edge_blue, blue_l
+        degrees, fixed_degrees = graph.red_degrees, graph.blue_degrees
+    else:
+        moving, fixed, fixed_l = graph.edge_blue, graph.edge_red, red_l
+        degrees, fixed_degrees = graph.blue_degrees, graph.red_degrees
+    fixed_mass = np.zeros(c, dtype=np.int64)
+    np.add.at(fixed_mass, fixed_l, fixed_degrees)
+    labels = kernel(moving * c + fixed_l[fixed], degrees, fixed_mass, graph.n_edges)
+    if side == RED:
+        red_l = labels
+    else:
+        blue_l = labels
+    return red_l.tolist(), blue_l.tolist()
+
+
+def brim_step_lists(graph, partition, side):
+    stepped = brim_step(graph, partition, side)
+    assert stepped.n_communities == partition.n_communities
+    return stepped.red_labels.tolist(), stepped.blue_labels.tolist()
+
+
 class TestSparseStepMatchesDenseOracle:
+    # ``brim_step``; the subclasses below call each kernel directly
+    step = staticmethod(brim_step_lists)
+
     def test_random_graphs_both_sides(self):
         rng = np.random.default_rng(31)
         isolated = 0
@@ -307,11 +341,7 @@ class TestSparseStepMatchesDenseOracle:
             c = int(rng.integers(1, g.n_red + g.n_blue + 1))
             part = random_partition(g, c, rng)
             for side in (RED, BLUE):
-                stepped = brim_step(g, part, side)
-                assert (
-                    stepped.red_labels.tolist(), stepped.blue_labels.tolist()
-                ) == dense_brim_step(g, part, side)
-                assert stepped.n_communities == c
+                assert self.step(g, part, side) == dense_brim_step(g, part, side)
         assert isolated > 0
 
     def test_degree_zero_nodes_take_label_zero(self):
@@ -321,8 +351,8 @@ class TestSparseStepMatchesDenseOracle:
             blue_nodes=["b0", "b1", "b2"],
         )
         part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 0, 1], [1, 0, 1], 2)
-        assert brim_step(g, part, RED).red_labels.tolist() == [1, 0, 0]
-        assert brim_step(g, part, BLUE).blue_labels.tolist() == [1, 0, 0]
+        assert self.step(g, part, RED)[0] == [1, 0, 0]
+        assert self.step(g, part, BLUE)[1] == [1, 0, 0]
 
     @pytest.mark.parametrize(
         "blue_label, c",
@@ -338,8 +368,42 @@ class TestSparseStepMatchesDenseOracle:
         # lowest label, 0, wins the tie
         g = BipartiteGraph([("r0", "b0"), ("r1", "b0")])
         part = Partition.from_arrays(g.red_nodes, g.blue_nodes, [1, 1], [blue_label], c)
+        assert self.step(g, part, RED)[0] == [0, 0]
+        assert dense_brim_step(g, part, RED)[0] == [0, 0]
+
+
+class TestSparseKernelMatchesDenseOracle(TestSparseStepMatchesDenseOracle):
+    step = staticmethod(partial(kernel_step, brim._sparse_best_labels))
+
+
+class TestDenseKernelMatchesDenseOracle(TestSparseStepMatchesDenseOracle):
+    step = staticmethod(partial(kernel_step, brim._dense_best_labels))
+
+
+class TestKernelDispatch:
+    @pytest.mark.parametrize(
+        "n_edges, c, expected",
+        [
+            (6, 4, "dense"),  # n * c = 3 * 4 = 2m
+            (7, 5, "sparse"),  # n * c = 3 * 5 = 2m + 1
+        ],
+    )
+    def test_dense_table_when_it_fits_in_2m_cells(self, monkeypatch, n_edges, c, expected):
+        pairs = [(f"r{i}", f"b{j}") for j in range(4) for i in range(3)]
+        g = BipartiteGraph(pairs[:n_edges], red_nodes=["r0", "r1", "r2"])
+        assert g.n_red * c - 2 * g.n_edges == (0 if expected == "dense" else 1)
+        called = []
+        for name in ("dense", "sparse"):
+            kernel = getattr(brim, f"_{name}_best_labels")
+
+            def spy(*args, name=name, kernel=kernel):
+                called.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(brim, f"_{name}_best_labels", spy)
+        part = random_partition(g, c, np.random.default_rng(n_edges))
         stepped = brim_step(g, part, RED)
-        assert stepped.red_labels.tolist() == [0, 0]
+        assert called == [expected]
         assert stepped.red_labels.tolist() == dense_brim_step(g, part, RED)[0]
 
 

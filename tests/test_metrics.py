@@ -298,3 +298,60 @@ class TestCrossTabulationMatchesDictOracle:
             contingency(a, empty)
         with pytest.raises(InputError, match="share no nodes"):
             adjusted_rand_index(empty, a)
+
+
+def assert_matches_per_pair(partitions):
+    """``all_pairs_ari`` equals the per-pair loop bit for bit: every single
+    pair, and the mean and deviation of the whole set."""
+    values = [adjusted_rand_index(a, b) for a, b in combinations(partitions, 2)]
+    for (a, b), value in zip(combinations(partitions, 2), values):
+        assert all_pairs_ari([a, b]) == (value, 0.0, 1)
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    assert all_pairs_ari(partitions) == (float(np.mean(values)), std, len(values))
+
+
+class TestBatchedAllPairsMatchesPerPair:
+    def test_random_runs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            c = int(rng.integers(1, 8))
+            runs = [
+                blue_partition(rng.integers(0, c, size=n).tolist())
+                for _ in range(int(rng.integers(2, 7)))
+            ]
+            assert_matches_per_pair(runs)
+
+    def test_permuted_node_orders_and_sides(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            pool = [f"n{k}" for k in range(int(rng.integers(2, 40)))]
+            runs = [random_partition(rng, pool) for _ in range(int(rng.integers(2, 6)))]
+            assert_matches_per_pair(runs)
+
+    @pytest.mark.parametrize(
+        "labels_a, labels_b, expected",
+        [
+            ([0, 1, 2, 3], [3, 0, 2, 1], 1.0),  # singletons vs singletons
+            ([0, 0, 0, 0], [2, 2, 2, 2], 1.0),  # one block vs one block
+            ([0, 1, 2, 3], [0, 0, 0, 0], 0.0),  # singletons vs one block
+        ],
+    )
+    def test_degenerate_partitions(self, labels_a, labels_b, expected):
+        a, b = blue_partition(labels_a), blue_partition(labels_b)
+        assert adjusted_rand_index(a, b) == dict_ari(a, b) == expected
+        assert_matches_per_pair([a, b, a, b])
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["1", "2", "3", "5"],  # one node swapped
+            ["1", "2", "3"],  # a subset
+            ["1", "2", "3", "4", "5"],  # a superset
+        ],
+    )
+    def test_different_node_sets_rejected(self, names):
+        a = blue_partition([0, 0, 1, 1])
+        b = blue_partition([0] * len(names), names=names)
+        with pytest.raises(InputError, match="different node sets"):
+            all_pairs_ari([a, a, b])

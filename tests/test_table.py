@@ -1,7 +1,8 @@
 import pytest
 
 from bicomet.errors import InputError
-from bicomet.table import read_rows, write_rows
+from bicomet.graph import load_edge_list
+from bicomet.table import read_columns, read_rows, write_rows
 
 
 class TestWriteRows:
@@ -36,3 +37,28 @@ class TestReadRows:
     def test_unreadable_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             list(read_rows(tmp_path / "missing.csv"))
+
+
+class TestPhysicalLineNumbers:
+    # the quoted cell of the first record spans lines 1 and 2
+    TEXT = 'a,"multi\nline"\nc,d,e\n'
+
+    def test_read_rows_numbers_records_by_first_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text(self.TEXT)
+        assert [line for line, _ in read_rows(path)] == [1, 3]
+
+    def test_read_columns_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text(self.TEXT)
+        with pytest.raises(InputError, match=r"edges\.csv:3: expected 2 fields, got 3"):
+            read_columns(path, 2)
+        with pytest.raises(InputError, match=r"edges\.csv:3: expected 2 fields, got 3"):
+            load_edge_list(path)
+
+    def test_read_columns_lines_after_a_multiline_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('h1,h2\n\na,"x\ny"\n\nc,d\n')
+        lines, columns = read_columns(path, 2, header=True)
+        assert lines.tolist() == [3, 6]
+        assert columns == [["a", "c"], ["x\ny", "d"]]
