@@ -480,9 +480,14 @@ def write_partition_csv(partition: Partition, path) -> None:
 
 
 def read_partition_csv(path) -> Partition:
-    """Read a partition file; InputError with file:line on a malformed row."""
+    """Read a partition file; InputError with file:line on a malformed row.
+
+    Every label must lie below the file's node count, as in any compact
+    partition, so no table indexed by label outgrows the partition.
+    """
     red_nodes, blue_nodes, red_labels, blue_labels = [], [], [], []
     seen = set()
+    top, top_line = -1, 0
     for lineno, cells in read_rows(path):
         if lineno == 1 and cells[0] == "node_id":
             continue
@@ -495,6 +500,8 @@ def read_partition_csv(path) -> Partition:
             raise InputError(f"{path}:{lineno}: bad community {label!r}") from None
         if label < 0:
             raise InputError(f"{path}:{lineno}: negative community {label}")
+        if label > top:
+            top, top_line = label, lineno
         if node in seen:
             raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
         seen.add(node)
@@ -508,6 +515,10 @@ def read_partition_csv(path) -> Partition:
             raise InputError(f"{path}:{lineno}: unknown side {side!r}")
     if not red_nodes and not blue_nodes:
         raise InputError(f"empty partition file: {path}")
+    if top >= len(seen):
+        raise InputError(
+            f"{path}:{top_line}: community {top} is not below the node count {len(seen)}"
+        )
     return Partition.from_arrays(red_nodes, blue_nodes, red_labels, blue_labels)
 
 

@@ -10,7 +10,7 @@ width and hands its cells on column by column.
 from __future__ import annotations
 
 import csv
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -64,14 +64,11 @@ def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
     """
     with _open(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        rows = list(reader)
-        if reader.line_num == len(rows):
-            lines = np.arange(1, len(rows) + 1, dtype=np.int64)
-        else:
-            # a quoted cell spans lines: number the records again
-            handle.seek(0)
-            lines = np.fromiter((line for line, _ in _records(handle, delimiter)),
-                                np.int64, len(rows))
+        rows = []
+        # as in _records, a record starts on line 1 or on the line after the
+        # one the reader has reached once it hands on the record before
+        starts = chain((1,), (reader.line_num + 1 for _ in map(rows.append, reader)))
+        lines = np.fromiter(starts, np.int64)[:-1]
     if header:
         rows, lines = rows[1:], lines[1:]
     fits = np.fromiter(map(len, rows), np.int64, len(rows)) == width

@@ -607,6 +607,17 @@ class TestPartitionCsv:
         with pytest.raises(InputError):
             read_partition_csv(path)
 
+    def test_rejects_community_not_below_node_count(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("node_id,side,community\nr0,red,0\nb0,blue,10000000000\nb1,blue,3\n")
+        with pytest.raises(
+            InputError,
+            match=r"part\.csv:3: community 10000000000 is not below the node count 3",
+        ):
+            read_partition_csv(path)
+        path.write_text("node_id,side,community\nr0,red,2\nb0,blue,0\nb1,blue,1\n")
+        assert read_partition_csv(path).n_communities == 3
+
     def test_rejects_node_listed_twice(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,red,0\nb0,blue,0\nr0,red,1\n")

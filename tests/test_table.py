@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bicomet.errors import InputError
@@ -62,3 +63,19 @@ class TestPhysicalLineNumbers:
         lines, columns = read_columns(path, 2, header=True)
         assert lines.tolist() == [3, 6]
         assert columns == [["a", "c"], ["x\ny", "d"]]
+
+    def test_read_columns_numbers_lines_as_read_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cells = ["a", " b ", "", '"x\ny"', '"p\n\nq"', '"r,s"']
+        path = tmp_path / "t.csv"
+        for _ in range(200):
+            rows = [
+                ",".join(rng.choice(cells, size=2)) if rng.random() < 0.8 else ""
+                for _ in range(rng.integers(0, 8))
+            ]
+            path.write_text("\n".join(rows) + ("\n" if rng.random() < 0.5 else ""))
+            header = bool(rng.random() < 0.5)
+            expected = list(read_rows(path, header=header))
+            lines, columns = read_columns(path, 2, header=header)
+            assert lines.tolist() == [line for line, _ in expected]
+            assert columns == [[row[k] for _, row in expected] for k in range(2)]
