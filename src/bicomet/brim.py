@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress
 
 import numpy as np
 
 from .errors import InputError
-from .graph import BLUE, RED, BipartiteGraph
+from .graph import BLUE, RED, BipartiteGraph, rank_by_id
 from .seeding import STREAM_BRIM_ADAPT, STREAM_BRIM_RUN, derive_seed
-from .table import read_rows, write_rows
+from .table import int_cells, read_rows, write_columns
 
 DEFAULT_MAX_SWEEPS = 200
 
@@ -123,7 +123,7 @@ class Partition:
         id, so the numbering does not depend on node input order: permuting
         the nodes of a graph yields byte-identical label assignments.
         """
-        labels, c = _compact_labels(self.labels, _lex_order(self.nodes))
+        labels, c = _compact_labels(self.labels, rank_by_id(self.nodes))
         n_red = len(self.red_nodes)
         return Partition(self.red_nodes, self.blue_nodes, labels[:n_red], labels[n_red:], c)
 
@@ -276,15 +276,14 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
     return Partition(graph.red_nodes, graph.blue_nodes, red_l, blue_l, c)
 
 
-def _lex_order(nodes):
-    """Positions of ``nodes`` sorted by node id."""
-    return np.array(sorted(range(len(nodes)), key=nodes.__getitem__), dtype=np.int64)
-
-
-def _compact_labels(labels, lex_order):
+def _compact_labels(labels, rank):
     """Communities renumbered gap-free in the order of their smallest member
-    id (``lex_order`` lists the nodes by id); returns (labels, count)."""
-    present, first = np.unique(labels[lex_order], return_index=True)
+    id (``rank`` ranks the nodes by id); returns (labels, count)."""
+    # sorted by label, then by rank: each label's first key holds its
+    # smallest member's rank
+    label, first = np.divmod(np.sort(labels * labels.size + rank), max(labels.size, 1))
+    start = np.diff(label, prepend=-1) != 0
+    present, first = label[start], first[start]
     mapping = np.empty(labels.max(initial=0) + 1, dtype=np.int64)
     mapping[present[np.argsort(first)]] = np.arange(present.size)
     return mapping[labels], present.size
@@ -312,12 +311,11 @@ def brim_converge(
     red, blue = _aligned_labels(graph, initial_partition)
     c = initial_partition.n_communities
     num = _modularity_numerator(graph, red, blue, c)
-    lex_order = _lex_order(graph.red_nodes + graph.blue_nodes)
     sweeps = 0
     for _ in range(max_sweeps):
         blue = _best_labels(graph, BLUE, red, c)
         red = _best_labels(graph, RED, blue, c)
-        labels, c = _compact_labels(np.concatenate((red, blue)), lex_order)
+        labels, c = _compact_labels(np.concatenate((red, blue)), graph.id_rank)
         red, blue = labels[:graph.n_red], labels[graph.n_red:]
         num_new = _modularity_numerator(graph, red, blue, c)
         sweeps += 1
@@ -396,6 +394,7 @@ def brim_multirun(
     if runs < 1 or restarts_per_run < 1:
         raise ValueError("runs and restarts_per_run must be >= 1")
     schedule = _normalize_schedule(module_count_schedule, graph)
+    graph.id_rank  # rank the node ids before the jobs copy the graph to workers
     jobs = [
         (graph, run_id, restarts_per_run, schedule, master_seed, max_sweeps)
         for run_id in range(runs)
@@ -474,9 +473,9 @@ def adapt_module_count(
 
 def write_partition_csv(partition: Partition, path) -> None:
     """Write `node_id,side,community` rows (red nodes first), with header."""
-    red = zip(partition.red_nodes, repeat(RED), partition.red_labels.tolist())
-    blue = zip(partition.blue_nodes, repeat(BLUE), partition.blue_labels.tolist())
-    write_rows(path, ["node_id", "side", "community"], chain(red, blue))
+    sides = [RED] * len(partition.red_nodes) + [BLUE] * len(partition.blue_nodes)
+    labels = int_cells(partition.labels)
+    write_columns(path, ["node_id", "side", "community"], [partition.nodes, sides, labels])
 
 
 def read_partition_csv(path) -> Partition:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .table import read_columns, read_rows, write_rows
+from .table import gather, read_columns, read_rows, write_columns
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +50,7 @@ class BipartiteGraph:
         "red_degrees",
         "blue_degrees",
         "duplicates_dropped",
+        "_id_rank",
     )
 
     def __init__(self, edges, red_nodes=(), blue_nodes=()):
@@ -108,6 +109,7 @@ class BipartiteGraph:
         self.red_degrees = red_deg
         self.blue_degrees = blue_deg
         self.duplicates_dropped = dropped
+        self._id_rank = None
 
     @property
     def n_red(self) -> int:
@@ -120,6 +122,13 @@ class BipartiteGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_red)
+
+    @property
+    def id_rank(self) -> np.ndarray:
+        """``rank_by_id`` of the red then the blue nodes, computed on first use."""
+        if self._id_rank is None:
+            self._id_rank = rank_by_id(self.red_nodes + self.blue_nodes)
+        return self._id_rank
 
     def edge_list(self) -> list[tuple[str, str]]:
         """Edges as identifier pairs, ordered by internal indices."""
@@ -152,6 +161,14 @@ class BipartiteGraph:
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
+
+
+def rank_by_id(nodes) -> np.ndarray:
+    """Rank of every node of ``nodes`` by node id (read-only int64)."""
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = np.arange(len(nodes))
+    rank.setflags(write=False)
+    return rank
 
 
 def _first_bad_node(nodes, side):
@@ -322,13 +339,16 @@ def load_edge_list(
 
 
 def write_edge_list(graph: BipartiteGraph, path) -> None:
-    write_rows(path, None, graph.edge_list())
+    write_columns(
+        path,
+        None,
+        [gather(graph.red_nodes, graph.edge_red), gather(graph.blue_nodes, graph.edge_blue)],
+    )
 
 
 def write_node_list(graph: BipartiteGraph, path) -> None:
-    red = zip(graph.red_nodes, repeat(RED))
-    blue = zip(graph.blue_nodes, repeat(BLUE))
-    write_rows(path, None, chain(red, blue))
+    sides = [RED] * graph.n_red + [BLUE] * graph.n_blue
+    write_columns(path, None, [graph.red_nodes + graph.blue_nodes, sides])
 
 
 def save_graph(graph: BipartiteGraph, edges_path, nodes_path=None) -> None:

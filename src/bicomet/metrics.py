@@ -61,6 +61,23 @@ def _pair_count(sizes) -> int:
     return int(np.dot(sizes, sizes - 1)) // 2
 
 
+def _together(codes_a, n_a: int, codes_b, n_b: int) -> int:
+    """Node pairs in one community of both partitions, from every node's
+    community codes (below ``n_a`` and ``n_b``): the sum of C(count, 2) over
+    the cells of their contingency table.
+
+    The cells are one ``bincount`` while the n_a x n_b table fits in 2n
+    cells, and otherwise the runs of the sorted cell keys, so memory is
+    O(n), never n_a x n_b.
+    """
+    key = codes_a * n_b + codes_b
+    if n_a * n_b <= 2 * key.size:
+        return _pair_count(np.bincount(key))
+    key.sort()
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    return _pair_count(np.diff(bounds))
+
+
 def contingency(partition_a: Partition, partition_b: Partition) -> ContingencyTable:
     """Contingency table over the intersection of the two node sets.
 
@@ -106,11 +123,11 @@ def adjusted_rand_index(partition_a: Partition, partition_b: Partition) -> float
     Computed on the shared nodes; 1 for identical partitions, about 0 for
     independent ones, possibly negative.  Requires at least 2 shared nodes.
     """
-    (_, rows), (col_labels, cols) = _shared_codes(partition_a, partition_b)
+    (row_labels, rows), (col_labels, cols) = _shared_codes(partition_a, partition_b)
     n = rows.size
     if n < 2:
         raise InputError("adjusted Rand index needs at least 2 shared nodes")
-    together = _pair_count(np.bincount(rows * col_labels.size + cols))
+    together = _together(rows, row_labels.size, cols, col_labels.size)
     sum_a, sum_b = _pair_count(np.bincount(rows)), _pair_count(np.bincount(cols))
     return _ari(together, sum_a, sum_b, n)
 
@@ -120,9 +137,9 @@ def all_pairs_ari(partitions: list[Partition]) -> tuple[float, float, int]:
 
     With 20 partitions that is 190 pairs.  Every partition must cover the
     first one's node set (InputError otherwise); each is aligned to its node
-    order once, and each pair is one ``bincount`` of label pairs.  The
-    values equal ``adjusted_rand_index`` of every pair.  The standard
-    deviation uses the n-1 denominator and is 0.0 when only one pair exists.
+    order once, and each pair is counted by ``_together``.  The values equal
+    ``adjusted_rand_index`` of every pair.  The standard deviation uses the
+    n-1 denominator and is 0.0 when only one pair exists.
     """
     if len(partitions) < 2:
         raise InputError("need at least 2 partitions to compare")
@@ -141,7 +158,7 @@ def all_pairs_ari(partitions: list[Partition]) -> tuple[float, float, int]:
         pair_sums.append(_pair_count(np.bincount(code)))
     codes = np.stack(aligned)
     values = [
-        _ari(_pair_count(np.bincount(codes[i] * n_labels[j] + codes[j])),
+        _ari(_together(codes[i], n_labels[i], codes[j], n_labels[j]),
              pair_sums[i], pair_sums[j], n)
         for i, j in combinations(range(len(partitions)), 2)
     ]

@@ -14,6 +14,7 @@ All randomness flows through counter-based Philox streams keyed by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -30,7 +31,7 @@ from .seeding import (
     STREAM_SYNTH_EVENTS,
     generator,
 )
-from .table import write_rows
+from .table import int_cells, write_columns, write_rows
 
 ENUMERATION_CAP = 12
 
@@ -463,15 +464,12 @@ def exhaustive_modularity_oracle(
 
 def write_ground_truth(truths, labels, path) -> None:
     """CSV `node_id,period,true_community` for every period."""
-    write_rows(
-        path,
-        ["node_id", "period", "true_community"],
-        (
-            (node, label, community)
-            for label, truth in zip(labels, truths)
-            for node, community in zip(truth.nodes, truth.labels.tolist())
-        ),
-    )
+    nodes, periods, communities = [], [], []
+    for label, truth in zip(labels, truths):
+        nodes += truth.nodes
+        periods += [label] * len(truth.nodes)
+        communities += int_cells(truth.labels)
+    write_columns(path, ["node_id", "period", "true_community"], [nodes, periods, communities])
 
 
 def write_lineage(lineage: Sequence[LineageEdge], path) -> None:
@@ -510,13 +508,11 @@ def write_synthetic_dataset(
     write_ground_truth(truths, list(series.labels), outdir / "ground_truth.csv")
     write_lineage(lineage, outdir / "lineage.csv")
     if catalog is not None:
-        write_rows(
-            outdir / "attributes.csv",
-            None,
-            (
-                (node, category, value)
-                for category in catalog.categories
-                for node, value in sorted(catalog.assignments(category).items())
-            ),
-        )
+        nodes, categories, values = [], [], []
+        for category in catalog.categories:
+            assigned = sorted(catalog.assignments(category).items())
+            nodes += map(itemgetter(0), assigned)
+            categories += [category] * len(assigned)
+            values += map(itemgetter(1), assigned)
+        write_columns(outdir / "attributes.csv", None, [nodes, categories, values])
     return manifest_path

@@ -4,14 +4,22 @@ Files are utf-8 and comma-separated with "\\n" line ends.  ``read_rows``
 skips blank rows, strips every cell and numbers the lines, so each caller
 only applies its own header rule and field checks and reports a bad row as
 ``path:line``.  ``read_columns`` applies the same rules to a table of fixed
-width and hands its cells on column by column.
+width and hands its cells on column by column; ``write_columns`` is its
+counterpart.
+
+Every table moves as one string: a file is read and decoded once, and
+written with one join and one write.  Text that holds no quote and no
+carriage return, read with a one-byte delimiter, is split on "\\n" and the
+delimiter directly, which is what the ``csv`` module would make of it; any
+other text, and so every quoted cell, goes through ``csv.reader``, and a
+table whose cells need quoting through ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from itertools import chain, compress
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,23 +27,73 @@ import numpy as np
 from .errors import InputError
 
 
-def _open(path):
+def _read(path) -> tuple[bytes, str]:
+    """The bytes of the file at ``path`` and their utf-8 text; InputError at
+    ``path:line`` when they are not utf-8."""
     path = Path(path)
     try:
-        return path.open(newline="", encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise InputError(
+            f"{path}:{line}: not utf-8: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
-def _records(handle, delimiter):
-    """Yield (line, row) for every CSV record, numbered by its first
-    physical line, so a quoted cell that holds a line break shifts no
-    later number."""
-    reader = csv.reader(handle, delimiter=delimiter)
+def _needs_csv(text: str, delimiter: str) -> bool:
+    """Whether ``text`` holds a quote or a carriage return, which only the
+    ``csv`` module reads right, or ``delimiter`` is not one ASCII byte."""
+    return '"' in text or "\r" in text or not (len(delimiter) == 1 and delimiter.isascii())
+
+
+def _records(path, data: bytes, text: str, delimiter: str):
+    """(lines, counts, cells) of the CSV records of ``text``, the utf-8
+    ``data`` read from ``path``: the int64 number of the line each record
+    starts on, its int64 number of fields, and the raw cells of all records
+    in one list.
+
+    Records are numbered by their first physical line, so a quoted cell that
+    holds a line break shifts no later number.  Text that needs no ``csv``
+    parsing is split at every "\\n" and delimiter (str.splitlines would also
+    break at characters that csv keeps inside a cell); with every byte but
+    those two deleted, what is left of a line is its delimiters, so the
+    field counts come from the line ends that remain.
+    """
+    if _needs_csv(text, delimiter):
+        return _csv_records(path, text, delimiter)
+    kept = data.translate(None, bytes(set(range(256)) - {10, ord(delimiter)}))
+    if text and not text.endswith("\n"):
+        kept += b"\n"
+    counts = np.diff(np.flatnonzero(np.frombuffer(kept, np.uint8) == 10), prepend=-1)
+    cells = text.replace("\n", delimiter).split(delimiter) if text else []
+    if text.endswith("\n"):
+        cells.pop()
+    limit = csv.field_size_limit()
+    if max(map(len, cells), default=0) > limit:
+        first = next(i for i, cell in enumerate(cells) if len(cell) > limit)
+        line = np.searchsorted(np.cumsum(counts), first, side="right") + 1
+        raise InputError(f"{path}:{line}: field larger than field limit ({limit})")
+    return np.arange(1, counts.size + 1, dtype=np.int64), counts, cells
+
+
+def _csv_records(path, text: str, delimiter: str):
+    """``_records`` of any text, through ``csv.reader``."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    lines, rows = [], []
     line = 1
-    for row in reader:
-        yield line, row
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            lines.append(line)
+            rows.append(row)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    return np.array(lines, dtype=np.int64), counts, list(chain.from_iterable(rows))
 
 
 def read_rows(path, delimiter: str = ",", header: bool = False):
@@ -44,14 +102,16 @@ def read_rows(path, delimiter: str = ",", header: bool = False):
     Cells are stripped; a row is blank when every cell is empty after
     stripping.  With ``header`` the first line is skipped.
     """
-    with _open(path) as handle:
-        for lineno, row in _records(handle, delimiter):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if header and lineno == 1:
-                continue
-            yield lineno, cells
+    lines, counts, cells = _records(path, *_read(path), delimiter)
+    start = 0
+    for lineno, end in zip(lines.tolist(), np.cumsum(counts).tolist()):
+        row = [c.strip() for c in cells[start:end]]
+        start = end
+        if not any(row):
+            continue
+        if header and lineno == 1:
+            continue
+        yield lineno, row
 
 
 def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
@@ -62,32 +122,44 @@ def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
     skipped as by ``read_rows``; the first non-blank row with another number
     of fields raises InputError at ``path:line``.
     """
-    with _open(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        rows = []
-        # as in _records, a record starts on line 1 or on the line after the
-        # one the reader has reached once it hands on the record before
-        starts = chain((1,), (reader.line_num + 1 for _ in map(rows.append, reader)))
-        lines = np.fromiter(starts, np.int64)[:-1]
-    if header:
-        rows, lines = rows[1:], lines[1:]
-    fits = np.fromiter(map(len, rows), np.int64, len(rows)) == width
+    lines, counts, cells = _records(path, *_read(path), delimiter)
+    if header and lines.size:
+        del cells[: counts[0]]
+        lines, counts = lines[1:], counts[1:]
+    fits = counts == width
     if not fits.all():
+        starts = (np.cumsum(counts) - counts).tolist()
         for i in np.flatnonzero(~fits).tolist():
-            if any(map(str.strip, rows[i])):
+            if any(map(str.strip, cells[starts[i] : starts[i] + counts[i]])):
                 raise InputError(
-                    f"{path}:{lines[i]}: expected {width} fields, got {len(rows[i])}"
+                    f"{path}:{lines[i]}: expected {width} fields, got {counts[i]}"
                 )
-        rows, lines = list(compress(rows, fits)), lines[fits]
-    columns = [list(map(str.strip, map(itemgetter(k), rows))) for k in range(width)]
+        cells = list(chain.from_iterable(cells[s : s + width] for s in compress(starts, fits)))
+        lines = lines[fits]
+    columns = [list(map(str.strip, cells[k::width])) for k in range(width)]
     # a blank row has an empty cell in every column
     if all("" in column for column in columns):
-        filled = np.zeros(len(rows), dtype=bool)
+        filled = np.zeros(len(lines), dtype=bool)
         for column in columns:
             filled |= np.fromiter(map(bool, column), bool, len(column))
         columns = [list(compress(column, filled)) for column in columns]
         lines = lines[filled]
     return lines, columns
+
+
+def gather(cells, index) -> list:
+    """``[cells[i] for i in index]`` for an int array ``index``."""
+    return np.array(cells, dtype=object)[index].tolist()
+
+
+def int_cells(values) -> list[str]:
+    """The decimal strings of the non-negative int array ``values``, looked
+    up in one string per value up to the largest when that is no more
+    strings than values."""
+    top = int(values.max(initial=-1)) + 1
+    if top > values.size:
+        return list(map(str, values.tolist()))
+    return gather(list(map(str, range(top))), values)
 
 
 def write_rows(path, header, rows) -> None:
@@ -97,3 +169,31 @@ def write_rows(path, header, rows) -> None:
         if header is not None:
             writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_columns(path, header, columns) -> None:
+    """Write the table whose k-th column is the sequence of str cells
+    ``columns[k]``, preceded by ``header`` unless it is None.
+
+    The bytes are those ``write_rows`` writes for the same rows.  The cells
+    are joined into one text and written at once; when that text shows a
+    cell that needs quoting (one holding a quote, a line end or the
+    delimiter, or a row of one empty cell), the rows go to ``write_rows``.
+    """
+    width = len(columns)
+    body = list(zip(*columns))
+    if header is not None:
+        body.insert(0, tuple(header))
+    text = "\n".join(map(",".join, body))
+    if body:
+        text += "\n"
+    if (
+        '"' in text
+        or "\r" in text
+        or text.count("\n") != len(body)
+        or text.count(",") != len(body) * (width - 1)
+        or (width == 1 and "\n\n" in "\n" + text)
+    ):
+        write_rows(path, None, body)
+        return
+    Path(path).write_text(text, encoding="utf-8", newline="")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -595,6 +596,18 @@ class TestPartitionCsv:
         write_partition_csv(part, path)
         assert read_partition_csv(path) == part
 
+    def test_writes_only_the_labels_of_a_wide_partition(self, tmp_path):
+        part = Partition(("r0",), ("b0", "b1"), [7], [0, 7], 10**6)
+        path = tmp_path / "part.csv"
+        tracemalloc.start()
+        try:
+            write_partition_csv(part, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # no string per community that holds no node
+        assert path.read_text() == "node_id,side,community\nr0,red,7\nb0,blue,0\nb1,blue,7\n"
+
     def test_rejects_bad_side(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,purple,0\n")
@@ -623,3 +636,38 @@ class TestPartitionCsv:
         path.write_text("node_id,side,community\nr0,red,0\nb0,blue,0\nr0,red,1\n")
         with pytest.raises(InputError, match=r"part\.csv:4: node 'r0' listed twice"):
             read_partition_csv(path)
+
+
+class TestFixedWorkPerGraph:
+    def test_compact_labels_match_the_unique_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            labels = rng.integers(0, int(rng.integers(1, 50)), size=n)
+            rank = rng.permutation(n)
+            order = np.argsort(rank)  # the nodes by id
+            present, first = np.unique(labels[order], return_index=True)
+            mapping = np.empty(labels.max(initial=0) + 1, dtype=np.int64)
+            mapping[present[np.argsort(first)]] = np.arange(present.size)
+            compacted, count = brim._compact_labels(labels, rank)
+            assert count == present.size
+            assert np.array_equal(compacted, mapping[labels])
+
+    def test_node_ids_are_ranked_once_per_graph(self, monkeypatch):
+        from bicomet import graph as graph_mod
+
+        calls = []
+        rank_by_id = graph_mod.rank_by_id
+        monkeypatch.setattr(
+            graph_mod, "rank_by_id", lambda nodes: calls.append(1) or rank_by_id(nodes)
+        )
+        brim_multirun(pinned_graph(), runs=3, restarts_per_run=4, master_seed=2)
+        assert len(calls) == 1
+        adapt_module_count(pinned_graph(), seed=3)
+        assert len(calls) == 2
+
+    def test_graph_rank_orders_node_ids(self):
+        g = BipartiteGraph([("r2", "b1"), ("r10", "b0")])
+        nodes = g.red_nodes + g.blue_nodes
+        assert [nodes[i] for i in np.argsort(g.id_rank)] == sorted(nodes)
+        assert pickle.loads(pickle.dumps(g)).id_rank.tolist() == g.id_rank.tolist()

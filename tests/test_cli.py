@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -453,6 +454,29 @@ class TestPipeline:
         assert tree_bytes(tmp_path / "out") == serial
 
 
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the relative path and the SHA-256 of every file under root."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+class TestBytePin:
+    # recorded before table writes moved to one join per table; any writer
+    # or reader change that alters a byte of the dataset or the outputs fails
+    DATA = "ebf5058900b9c47c574e50112f8e47bd6b8e82a61374f5f20cc45102509dc124"
+    OUT = "b1a7709e106f09e119c1c8dac7c9d3b21047083f25de3bb16f7e9c0c9fe432ea"
+
+    def test_synth_and_pipeline_bytes_are_pinned(self, workspace):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert tree_digest(tmp_path / "data") == self.DATA
+        assert tree_digest(tmp_path / "out") == self.OUT
+
+
 class TestLineageRecovery:
     def test_detect_then_track_recovers_planted_lineage(self, tmp_path, monkeypatch):
         # well-separated model: detected communities match the planted ones
@@ -589,6 +613,48 @@ class TestErrorHandling:
             assert main([command, "--config", str(config), "--output-dir", "typo_dir"]) == 1
             assert "cannot read typo_dir/run_summary.json" in capsys.readouterr().err
             assert not (tmp_path / "typo_dir").exists()
+
+    def test_invalid_utf8_edge_file_exits_one_at_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_bytes(b"a,b\nc,\xff\n")
+        (tmp_path / "manifest.csv").write_text("period,edges\np0,e.csv\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[pipeline]\nmanifest = manifest.csv\noutput_dir = out\n")
+        assert main(["detect", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "e.csv:2: not utf-8" in err
+
+    def test_oversized_quoted_cell_exits_one_at_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text('a,b\nc,d\n"' + "x" * 140_000 + '",e\n')
+        (tmp_path / "manifest.csv").write_text("period,edges\np0,e.csv\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[pipeline]\nmanifest = manifest.csv\noutput_dir = out\n")
+        assert main(["detect", "--config", str(config)]) == 1
+        assert "e.csv:3: field larger than field limit" in capsys.readouterr().err
+
+    def test_oversized_plain_cell_exits_one_at_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text("a,b\nc,d\n" + "x" * 140_000 + ",e\n")
+        (tmp_path / "manifest.csv").write_text("period,edges\np0,e.csv\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text("[pipeline]\nmanifest = manifest.csv\noutput_dir = out\n")
+        assert main(["detect", "--config", str(config)]) == 1
+        assert "e.csv:3: field larger than field limit" in capsys.readouterr().err
+
+    def test_invalid_utf8_partition_file_exits_one_at_its_line(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        run = tmp_path / "out" / "partitions" / "p01" / "run_002.csv"
+        lines = run.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"red", b"r\xe9d")
+        run.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["ari", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "run_002.csv:5: not utf-8" in err
 
     def test_output_io_failure_exits_one(self, workspace, capsys):
         tmp_path, config = workspace

@@ -355,3 +355,31 @@ class TestBatchedAllPairsMatchesPerPair:
         b = blue_partition([0] * len(names), names=names)
         with pytest.raises(InputError, match="different node sets"):
             all_pairs_ari([a, a, b])
+
+
+class TestPairCountBound:
+    # sorted cell keys count the pairs once c_a * c_b > 2n; a dense table below
+    @pytest.mark.parametrize("n, c", [(60, 3), (60, 11), (400, 200), (40, 40)])
+    def test_both_sides_match_the_per_pair_values(self, n, c):
+        rng = np.random.default_rng(n + c)
+        runs = [blue_partition(rng.integers(0, c, size=n).tolist()) for _ in range(4)]
+        for a, b in combinations(runs, 2):
+            assert adjusted_rand_index(a, b) == dict_ari(a, b)
+        assert_matches_per_pair(runs)
+
+    def test_two_node_communities_use_the_sorted_keys(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        runs = [blue_partition(rng.permutation(4000) // 2) for _ in range(6)]
+        table_sizes = []
+        bincount = np.bincount
+        monkeypatch.setattr(
+            np, "bincount",
+            lambda x, *args, **kwargs: table_sizes.append(x.max() + 1) or bincount(x, *args, **kwargs),
+        )
+        assert all_pairs_ari(runs)[2] == 15
+        adjusted_rand_index(runs[0], runs[1])
+        # only the per-run codes and community sizes are counted densely,
+        # never a 2000 x 2000 table
+        assert max(table_sizes) <= 4000
+        monkeypatch.undo()
+        assert_matches_per_pair(runs)

@@ -1,9 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from bicomet.errors import InputError
 from bicomet.graph import load_edge_list
-from bicomet.table import read_columns, read_rows, write_rows
+from bicomet.table import int_cells, read_columns, read_rows, write_columns, write_rows
 
 
 class TestWriteRows:
@@ -79,3 +82,174 @@ class TestPhysicalLineNumbers:
             lines, columns = read_columns(path, 2, header=header)
             assert lines.tolist() == [line for line, _ in expected]
             assert columns == [[row[k] for _, row in expected] for k in range(2)]
+
+
+def csv_records(path, header):
+    """(line, raw cells) of every record as csv.reader reads the file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        records, line = [], 1
+        for row in reader:
+            records.append((line, row))
+            line = reader.line_num + 1
+    return records[1:] if header else records
+
+
+def csv_columns(path, width, header):
+    """``read_columns`` by the csv module alone: (lines, columns), or the line
+    of the first non-blank row of another width."""
+    kept = []
+    for line, row in csv_records(path, header):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != width:
+            return line
+        kept.append((line, cells))
+    return [line for line, _ in kept], [[cells[k] for _, cells in kept] for k in range(width)]
+
+
+def csv_text(header, rows):
+    """The text csv.writer writes for ``rows`` after ``header``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class TestPlainTextOracle:
+    # ids holding characters str.splitlines breaks at and csv keeps in a cell
+    CELLS = ["a", "b1", " c ", "", " ", "\t", "d\x0ce", "f g", "h\x1ci",
+             "j\x85k", "l\x0bm", "\x0c", "日本", "n o", "p\x1dq\x1e"]
+
+    def random_text(self, rng, width):
+        uniform = rng.random() < 0.5  # every line of ``width`` fields
+        lines = []
+        for _ in range(rng.integers(0, 9)):
+            if not uniform and rng.random() < 0.2:
+                lines.append(str(rng.choice(["", " ", "\t"])))
+                continue
+            fields = width if uniform or rng.random() < 0.8 else int(rng.integers(1, 4))
+            lines.append(",".join(rng.choice(self.CELLS, size=fields)))
+        return "\n".join(lines) + ("\n" if lines and rng.random() < 0.7 else "")
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_read_columns_and_read_rows_equal_the_csv_module(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        path = tmp_path / "t.csv"
+        for _ in range(400):
+            path.write_text(self.random_text(rng, width), encoding="utf-8", newline="")
+            header = bool(rng.random() < 0.3)
+            expected = csv_columns(path, width, header)
+            if isinstance(expected, int):
+                with pytest.raises(InputError, match=rf"t\.csv:{expected}: expected {width}"):
+                    read_columns(path, width, header=header)
+            else:
+                lines, columns = read_columns(path, width, header=header)
+                assert (lines.tolist(), columns) == expected
+            rows = [
+                (line, [c.strip() for c in row])
+                for line, row in csv_records(path, False)
+                if any(c.strip() for c in row) and not (header and line == 1)
+            ]
+            assert list(read_rows(path, header=header)) == rows
+
+    def test_line_breaking_characters_stay_inside_a_cell(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("r\x0c1,b 1\nr\x1c2,b\x852\n", encoding="utf-8", newline="")
+        lines, columns = read_columns(path, 2)
+        assert lines.tolist() == [1, 2]
+        assert columns == [["r\x0c1", "r\x1c2"], ["b 1", "b\x852"]]
+
+    def test_tab_delimited_plain_text(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("h1\th2\na\t b\nc\td\n")
+        lines, columns = read_columns(path, 2, delimiter="\t", header=True)
+        assert lines.tolist() == [2, 3]
+        assert columns == [["a", "c"], ["b", "d"]]
+
+    def test_multibyte_delimiter_reads_as_the_csv_module(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a§b\nc\xe7§d\ne§f§g\n", encoding="utf-8")
+        assert list(read_rows(path, delimiter="§")) == [
+            (1, ["a", "b"]), (2, ["c\xe7", "d"]), (3, ["e", "f", "g"])
+        ]
+        with pytest.raises(InputError, match=r"t\.csv:3: expected 2 fields, got 3"):
+            read_columns(path, 2, delimiter="§")
+
+
+class TestWriteColumns:
+    CELLS = [",", '"', "\r", "\n", " pad ", "", "é", "日本", "a,b", 'say "hi"',
+             "x\r\ny", "plain", "0", "  ", "z "]
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "t.csv"
+        for _ in range(600):
+            width = int(rng.integers(1, 4))
+            # half the tables draw only cells that need no quoting
+            pool = self.CELLS if rng.random() < 0.5 else ["", " pad ", "é", "plain", "0"]
+            rows = [tuple(rng.choice(pool, size=width).tolist())
+                    for _ in range(rng.integers(0, 6))]
+            header = None if rng.random() < 0.5 else tuple(rng.choice(pool, size=width).tolist())
+            columns = [[row[k] for row in rows] for k in range(width)]
+            write_columns(path, header, columns)
+            assert path.read_bytes() == csv_text(header, rows).encode("utf-8")
+
+    def test_one_empty_cell_row_is_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_columns(path, ["id"], [["a", "", "b"]])
+        assert path.read_bytes() == b'id\na\n""\nb\n'
+
+    def test_plain_table_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_columns(path, ["x", "y"], [["a", "b"], ["1", "2"]])
+        assert path.read_bytes() == b"x,y\na,1\nb,2\n"
+        lines, columns = read_columns(path, 2, header=True)
+        assert lines.tolist() == [2, 3]
+        assert columns == [["a", "b"], ["1", "2"]]
+
+
+class TestReadFaults:
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"a,b\nc,\xff\n")
+        with pytest.raises(InputError, match=r"edges\.csv:2: not utf-8"):
+            read_columns(path, 2)
+        with pytest.raises(InputError, match=r"edges\.csv:2: not utf-8"):
+            list(read_rows(path))
+
+    def test_oversized_quoted_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text('a,b\nc,"' + "x" * 140_000 + '"\n')
+        with pytest.raises(InputError, match=r"edges\.csv:2: field larger"):
+            read_columns(path, 2)
+        with pytest.raises(InputError, match=r"edges\.csv:2: field larger"):
+            list(read_rows(path))
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_field_limit_is_the_same_quoted_or_not(self, tmp_path, quote):
+        limit = csv.field_size_limit()
+        path = tmp_path / "edges.csv"
+        cell = quote + "x" * limit + quote
+        path.write_text(f"a,b\nc,{cell}\n{cell},d\n")
+        lines, columns = read_columns(path, 2)
+        assert columns[1][1] == "x" * limit
+        long_cell = quote + "x" * (limit + 1) + quote
+        path.write_text(f"a,b\n{'y' * limit},{'y' * limit}\n{long_cell},d\n")
+        with pytest.raises(InputError, match=r"edges\.csv:3: field larger than field limit"):
+            read_columns(path, 2)
+        with pytest.raises(InputError, match=r"edges\.csv:3: field larger than field limit"):
+            list(read_rows(path))
+
+
+class TestIntCells:
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0], [3, 0, 3, 1], [0, 10**12], [5, 5]],
+    )
+    def test_decimal_strings(self, values):
+        values = np.array(values, dtype=np.int64)
+        assert int_cells(values) == [str(v) for v in values.tolist()]
