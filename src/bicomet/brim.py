@@ -190,69 +190,174 @@ def bipartite_modularity(graph: BipartiteGraph, partition: Partition) -> float:
     return num / (graph.n_edges * graph.n_edges)
 
 
-def _best_labels(graph: BipartiteGraph, side: str, fixed_labels, n_communities):
-    """Best community of every node on ``side``, the other side's labels fixed.
+# With s the bit length of c - 1 and mask its s low bits, the sparse step's
+# keys node << s | (mask - label) are int32 while the moving side's node
+# count << s stays below the first limit.  A score packed as
+# score << s | (mask - label) stays exact while the largest score magnitude,
+# max_degree * m, << s stays below the second; past it, each node's best
+# score and lowest best label are found in two passes.
+_INT32_KEYS = 2**31
+_PACKED_SCORES = 2**62
+
+
+class _Scratch:
+    """What the half-steps of optimizer calls on ``graph`` reuse: the red end
+    of every edge with the edges in (blue, red) order, which lines up with
+    ``np.repeat`` of per-blue-node values by ``blue_degrees`` as
+    ``edge_blue`` does by ``red_degrees``, and buffers that a sweep writes
+    its edge-sized arrays into.
+
+    One is made per ``brim_multirun`` or ``adapt_module_count`` call, or per
+    ``brim_converge`` call given none; it is never shared between threads.
+    A copy sent to a worker process starts with empty buffers.
+    """
+
+    __slots__ = ("graph", "red_by_blue", "_arrays")
+
+    def __init__(self, graph: BipartiteGraph):
+        self.graph = graph
+        self.red_by_blue = graph.edge_red[np.argsort(graph.edge_blue, kind="stable")]
+        self._arrays = {}
+
+    def __reduce__(self):
+        return _Scratch, (self.graph,)
+
+    def array(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` elements of the ``dtype`` buffer ``name``."""
+        buffer = self._arrays.get((name, dtype))
+        if buffer is None or buffer.size < size:
+            buffer = self._arrays[name, dtype] = np.empty(size, dtype)
+        return buffer[:size]
+
+
+def _label_bits(c: int) -> tuple[int, int]:
+    """(s, mask): the bit length of c - 1 and the mask of its s low bits."""
+    s = (c - 1).bit_length()
+    return s, (1 << s) - 1
+
+
+def _packable(degrees, m: int, s: int) -> bool:
+    """Whether every score << s, with its s label bits, fits in int64."""
+    return int(degrees.max(initial=0)) * m << s < _PACKED_SCORES
+
+
+def _best_labels(graph: BipartiteGraph, side: str, fixed_labels, n_communities,
+                 scratch: _Scratch):
+    """Best community of every node on ``side``, the other side's labels
+    fixed, and the sum of the chosen scores.
 
     A node's score for community g is count * m - degree * fixed_mass[g],
     where count is its number of edges into g.  The argmax breaks ties by the
-    lowest label, and degree-0 nodes (all scores 0) take label 0.  When the
-    n x c table fits in 2m cells (c is small after the first sweep), the
-    counts are one ``bincount`` into that dense table; otherwise only the
-    (node, community) pairs that edges touch are scored.  Either way memory
-    is O(m), not O(n * c).
+    lowest label, and degree-0 nodes (all scores 0) take label 0.  The sum of
+    the chosen scores is m * within - sum_g mass_g * fixed_mass_g, the exact
+    modularity numerator once ``side`` takes its new labels.  When the n x c
+    table fits in 2m cells (c is small after the first sweep), the counts are
+    one ``bincount`` into that dense table; otherwise only the (node,
+    community) pairs that edges touch are scored.  Either way memory is
+    O(m), not O(n * c).
     """
     c = n_communities
     m = graph.n_edges
     if side == RED:
-        moving, fixed = graph.edge_red, graph.edge_blue
-        degrees, fixed_degrees = graph.red_degrees, graph.blue_degrees
+        moving, degrees, fixed_degrees = scratch.red_by_blue, graph.red_degrees, graph.blue_degrees
     else:
-        moving, fixed = graph.edge_blue, graph.edge_red
-        degrees, fixed_degrees = graph.blue_degrees, graph.red_degrees
+        moving, degrees, fixed_degrees = graph.edge_blue, graph.blue_degrees, graph.red_degrees
     fixed_mass = _community_mass(fixed_labels, fixed_degrees, c)
-    key = moving * c + fixed_labels[fixed]
-    if len(degrees) * c <= 2 * m:
-        return _dense_best_labels(key, degrees, fixed_mass, m)
-    return _sparse_best_labels(key, degrees, fixed_mass, m)
+    kernel = _dense_best_labels if len(degrees) * c <= 2 * m else _sparse_best_labels
+    return kernel(moving, fixed_degrees, fixed_labels, degrees, fixed_mass, m, scratch)
 
 
-def _dense_best_labels(key, degrees, fixed_mass, m):
-    """``_best_labels`` over the full n x c table of edge counts, where
-    ``key`` is node * c + label of every edge."""
-    n, c = len(degrees), len(fixed_mass)
-    scores = np.bincount(key, minlength=n * c).reshape(n, c)
-    scores *= m
-    scores -= np.outer(degrees, fixed_mass)
-    return scores.argmax(axis=1)
+# The kernels take the moving end of every edge with the edges grouped by
+# their fixed end (``edge_blue`` as stored, or the scratch's
+# ``red_by_blue``), so ``np.repeat(fixed_labels, fixed_degrees)`` gives the
+# label at the fixed end of each.  Their gathers skip the bounds check
+# (mode="clip"): the indices are in range by construction.
 
 
-def _sparse_best_labels(key, degrees, fixed_mass, m):
-    """``_best_labels`` over the (node, label) pairs in ``key`` only, by
-    sorting the keys node * c + label (in place).
+def _dense_best_labels(moving, fixed_degrees, fixed_labels, degrees, fixed_mass, m, scratch):
+    """``_best_labels`` over the full c x n table of edge counts, label-major.
 
-    Every community no edge of a node reaches scores -degree * fixed_mass,
-    so the best of them is the fallback community of least fixed mass
-    (lowest label).
+    Packed as score << s | (mask - label), one column max gives each node's
+    best score and, among equal scores, its lowest label.
     """
-    c = len(fixed_mass)
+    n, c = len(degrees), len(fixed_mass)
+    s, mask = _label_bits(c)
+    key = np.repeat(fixed_labels * n, fixed_degrees)
+    key += moving
+    table = np.bincount(key, minlength=c * n).reshape(c, n)
+    packed = _packable(degrees, m, s)
+    shift = s if packed else 0
+    # count * m << shift - degree * fixed_mass << shift
+    table *= m << shift
+    mass = scratch.array("mass", c * n, np.int64).reshape(c, n)
+    table -= np.multiply.outer(fixed_mass << shift, degrees, out=mass)
+    if not packed:
+        labels = table.argmax(axis=0)
+        return labels, int(table[labels, np.arange(n)].sum())
+    table += (mask - np.arange(c))[:, None]
+    best = table.max(axis=0)
+    return mask - (best & mask), int((best >> s).sum())
+
+
+def _sparse_best_labels(moving, fixed_degrees, fixed_labels, degrees, fixed_mass, m, scratch):
+    """``_best_labels`` over the (node, label) pairs that edges touch, found
+    by sorting the edge keys node << s | (mask - label).
+
+    A run of equal keys is one pair, and its length the pair's count.  A
+    node's runs are adjacent, so one ``maximum.reduceat`` over the packed
+    scores score << s | (mask - label) gives each node's best score and,
+    among equal scores, its lowest label.  Every community no edge of a node
+    reaches scores -degree * fixed_mass, so the best of them is the fallback
+    community of least fixed mass (lowest label).
+    """
+    n, c = len(degrees), len(fixed_mass)
+    s, mask = _label_bits(c)
+    dtype = np.int32 if n << s < _INT32_KEYS else np.int64
+    size = moving.size
+    key = np.repeat(np.subtract(mask, fixed_labels, dtype=dtype), fixed_degrees)
+    key |= np.left_shift(moving, s, out=scratch.array("shifted", size, dtype), casting="unsafe")
     key.sort()
-    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    count = np.diff(np.append(run_start, key.size))
-    node, label = np.divmod(key[run_start], c)
-    score = count * m - degrees[node] * fixed_mass[label]
+    new = scratch.array("new", size, bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    runs = start.size
+    run_key = np.take(key, start, out=scratch.array("run_key", runs, dtype), mode="clip")
+    low = np.bitwise_and(run_key, mask, out=scratch.array("low", runs, dtype))
+    node = np.right_shift(run_key, s, out=run_key)
 
-    node_start = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-    best = np.maximum.reduceat(score, node_start)
-    at_best = score == np.repeat(best, np.diff(np.append(node_start, node.size)))
-    best_label = np.minimum.reduceat(np.where(at_best, label, c), node_start)
+    packed = _packable(degrees, m, s)
+    shift = s if packed else 0
+    # count * m << shift - degree * fixed_mass << shift, per run
+    score = scratch.array("score", runs, np.int64)
+    np.subtract(start[1:], start[:-1], out=score[:-1])
+    score[-1] = size - start[-1]
+    score *= m << shift
+    mass_by_low = np.zeros(mask + 1, dtype=np.int64)
+    mass_by_low[mask - c + 1:] = fixed_mass[::-1] << shift
+    mass = np.take(mass_by_low, low, out=scratch.array("mass", runs, np.int64), mode="clip")
+    # the sorted keys are spent: their buffer takes each run's node degree
+    mass *= np.take(degrees.astype(dtype), node, out=key[:runs], mode="clip")
+    score -= mass
 
+    present = np.flatnonzero(degrees)  # the nodes that have runs
+    node_start = np.searchsorted(node, present.astype(dtype))
     fallback = int(np.argmin(fixed_mass))
-    nodes = node[node_start]
-    fallback_score = -degrees[nodes] * fixed_mass[fallback]
+    fallback_score = -degrees[present] * fixed_mass[fallback]
+    labels = np.zeros(n, dtype=np.int64)
+    if packed:
+        score |= low
+        best = np.maximum.reduceat(score, node_start)
+        np.maximum(best, fallback_score * (1 << s) | (mask - fallback), out=best)
+        labels[present] = mask - (best & mask)
+        return labels, int((best >> s).sum())
+    # two passes: each node's best score, then its lowest label at that score
+    best = np.maximum.reduceat(score, node_start)
+    at_best = score == np.repeat(best, np.diff(node_start, append=runs))
+    best_label = mask - np.maximum.reduceat(np.where(at_best, low, -1), node_start)
     wins = (best > fallback_score) | ((best == fallback_score) & (best_label < fallback))
-    labels = np.zeros(len(degrees), dtype=np.int64)
-    labels[nodes] = np.where(wins, best_label, fallback)
-    return labels
+    labels[present] = np.where(wins, best_label, fallback)
+    return labels, int(np.where(wins, best, fallback_score).sum())
 
 
 def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partition:
@@ -270,9 +375,9 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
     red_l, blue_l = _aligned_labels(graph, partition)
     c = partition.n_communities
     if side == RED:
-        red_l = _best_labels(graph, RED, blue_l, c)
+        red_l, _ = _best_labels(graph, RED, blue_l, c, _Scratch(graph))
     else:
-        blue_l = _best_labels(graph, BLUE, red_l, c)
+        blue_l, _ = _best_labels(graph, BLUE, red_l, c, _Scratch(graph))
     return Partition(graph.red_nodes, graph.blue_nodes, red_l, blue_l, c)
 
 
@@ -295,13 +400,18 @@ def brim_converge(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     run_id: int = 0,
     seed: int = 0,
+    *,
+    scratch: _Scratch | None = None,
 ) -> RunResult:
     """Alternate blue and red reassignment sweeps until a fixed point.
 
     A sweep is one blue step followed by one red step, then compaction of
     empty communities.  Stops when a sweep does not raise the exact integer
     modularity numerator (a sweep that changes no label cannot), or after
-    ``max_sweeps``.  The sweeps run on label arrays in graph node order; the
+    ``max_sweeps``.  The numerator is computed once, for the initial
+    partition; after that it is the red step's sum of chosen scores, which
+    compaction does not change.  The sweeps run on label arrays in graph
+    node order, in the buffers of ``scratch`` (a fresh set when None); the
     result partition is the only ``Partition`` built.
     """
     if max_sweeps < 1:
@@ -311,13 +421,16 @@ def brim_converge(
     red, blue = _aligned_labels(graph, initial_partition)
     c = initial_partition.n_communities
     num = _modularity_numerator(graph, red, blue, c)
+    if scratch is None:
+        scratch = _Scratch(graph)
+    elif scratch.graph is not graph:
+        raise ValueError("scratch was made for another graph")
     sweeps = 0
     for _ in range(max_sweeps):
-        blue = _best_labels(graph, BLUE, red, c)
-        red = _best_labels(graph, RED, blue, c)
+        blue, _ = _best_labels(graph, BLUE, red, c, scratch)
+        red, num_new = _best_labels(graph, RED, blue, c, scratch)
         labels, c = _compact_labels(np.concatenate((red, blue)), graph.id_rank)
         red, blue = labels[:graph.n_red], labels[graph.n_red:]
-        num_new = _modularity_numerator(graph, red, blue, c)
         sweeps += 1
         if num_new < num:
             raise RuntimeError(
@@ -362,14 +475,15 @@ def _normalize_schedule(schedule, graph):
 
 
 def _best_of_run(args):
-    graph, run_id, restarts, schedule, master_seed, max_sweeps = args
+    graph, run_id, restarts, schedule, master_seed, max_sweeps, scratch = args
     best = None
     for restart in range(restarts):
         seed = derive_seed(master_seed, STREAM_BRIM_RUN, run_id, restart)
         rng = np.random.Generator(np.random.PCG64(seed))
         c0 = schedule[restart % len(schedule)]
         init = random_partition(graph, c0, rng)
-        result = brim_converge(graph, init, max_sweeps, run_id=run_id, seed=seed)
+        result = brim_converge(graph, init, max_sweeps, run_id=run_id, seed=seed,
+                               scratch=scratch)
         if best is None or result.modularity > best.modularity:
             best = result
     return best
@@ -395,8 +509,9 @@ def brim_multirun(
         raise ValueError("runs and restarts_per_run must be >= 1")
     schedule = _normalize_schedule(module_count_schedule, graph)
     graph.id_rank  # rank the node ids before the jobs copy the graph to workers
+    scratch = _Scratch(graph)
     jobs = [
-        (graph, run_id, restarts_per_run, schedule, master_seed, max_sweeps)
+        (graph, run_id, restarts_per_run, schedule, master_seed, max_sweeps, scratch)
         for run_id in range(runs)
     ]
     if workers is not None and workers > 1:
@@ -432,13 +547,15 @@ def adapt_module_count(
     answer.  Returns the best result seen overall.
     """
     trials = 0
+    scratch = _Scratch(graph)
 
     def evaluate(c: int) -> RunResult:
         nonlocal trials
         child = derive_seed(seed, STREAM_BRIM_ADAPT, trials)
         rng = np.random.Generator(np.random.PCG64(child))
         init = random_partition(graph, c, rng)
-        result = brim_converge(graph, init, max_sweeps, run_id=trials, seed=child)
+        result = brim_converge(graph, init, max_sweeps, run_id=trials, seed=child,
+                               scratch=scratch)
         trials += 1
         return result
 

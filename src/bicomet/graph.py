@@ -213,7 +213,16 @@ def _index_array(values, side: str, n_nodes: int) -> np.ndarray:
 
 def _index_ids(declared, ids):
     """One side's node ids in first-appearance order, ``declared`` first, and
-    the index of every id of ``ids`` among them."""
+    the index of every id of ``ids`` among them.
+
+    ``declared`` holds no id twice.  When it holds every id of ``ids``, the
+    ids are looked up in it alone.
+    """
+    index = {node: i for i, node in enumerate(declared)}
+    try:
+        return tuple(declared), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        pass
     index = {node: i for i, node in enumerate(dict.fromkeys(chain(declared, ids)))}
     return tuple(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 

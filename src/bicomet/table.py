@@ -44,6 +44,11 @@ def _read(path) -> tuple[bytes, str]:
         ) from None
 
 
+# the ASCII characters str.strip removes, but for "\n", which no cell of
+# text split at "\n" holds
+_ASCII_STRIPPED = bytes(b for b in range(128) if chr(b).isspace() and b != 10)
+
+
 def _needs_csv(text: str, delimiter: str) -> bool:
     """Whether ``text`` holds a quote or a carriage return, which only the
     ``csv`` module reads right, or ``delimiter`` is not one ASCII byte."""
@@ -53,15 +58,18 @@ def _needs_csv(text: str, delimiter: str) -> bool:
 def _records(path, data: bytes, text: str, delimiter: str):
     """(lines, counts, cells) of the CSV records of ``text``, the utf-8
     ``data`` read from ``path``: the int64 number of the line each record
-    starts on, its int64 number of fields, and the raw cells of all records
-    in one list.
+    starts on, its int64 number of fields, and the stripped cells of all
+    records in one list.
 
     Records are numbered by their first physical line, so a quoted cell that
     holds a line break shifts no later number.  Text that needs no ``csv``
     parsing is split at every "\\n" and delimiter (str.splitlines would also
     break at characters that csv keeps inside a cell); with every byte but
     those two deleted, what is left of a line is its delimiters, so the
-    field counts come from the line ends that remain.
+    field counts come from the line ends that remain.  No cell is longer
+    than its line, so cells are measured against the field limit only when
+    a line is longer; and ASCII text without a character str.strip removes
+    is not stripped.
     """
     if _needs_csv(text, delimiter):
         return _csv_records(path, text, delimiter)
@@ -73,10 +81,14 @@ def _records(path, data: bytes, text: str, delimiter: str):
     if text.endswith("\n"):
         cells.pop()
     limit = csv.field_size_limit()
-    if max(map(len, cells), default=0) > limit:
-        first = next(i for i, cell in enumerate(cells) if len(cell) > limit)
-        line = np.searchsorted(np.cumsum(counts), first, side="right") + 1
-        raise InputError(f"{path}:{line}: field larger than field limit ({limit})")
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    if np.diff(ends, prepend=-1, append=len(data)).max(initial=0) > limit + 1:
+        first = next((i for i, cell in enumerate(cells) if len(cell) > limit), None)
+        if first is not None:
+            line = np.searchsorted(np.cumsum(counts), first, side="right") + 1
+            raise InputError(f"{path}:{line}: field larger than field limit ({limit})")
+    if not data.isascii() or any(byte in data for byte in _ASCII_STRIPPED):
+        cells = list(map(str.strip, cells))
     return np.arange(1, counts.size + 1, dtype=np.int64), counts, cells
 
 
@@ -93,7 +105,8 @@ def _csv_records(path, text: str, delimiter: str):
     except csv.Error as exc:
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    return np.array(lines, dtype=np.int64), counts, list(chain.from_iterable(rows))
+    cells = list(map(str.strip, chain.from_iterable(rows)))
+    return np.array(lines, dtype=np.int64), counts, cells
 
 
 def read_rows(path, delimiter: str = ",", header: bool = False):
@@ -105,7 +118,7 @@ def read_rows(path, delimiter: str = ",", header: bool = False):
     lines, counts, cells = _records(path, *_read(path), delimiter)
     start = 0
     for lineno, end in zip(lines.tolist(), np.cumsum(counts).tolist()):
-        row = [c.strip() for c in cells[start:end]]
+        row = cells[start:end]
         start = end
         if not any(row):
             continue
@@ -130,13 +143,13 @@ def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
     if not fits.all():
         starts = (np.cumsum(counts) - counts).tolist()
         for i in np.flatnonzero(~fits).tolist():
-            if any(map(str.strip, cells[starts[i] : starts[i] + counts[i]])):
+            if any(cells[starts[i] : starts[i] + counts[i]]):
                 raise InputError(
                     f"{path}:{lines[i]}: expected {width} fields, got {counts[i]}"
                 )
         cells = list(chain.from_iterable(cells[s : s + width] for s in compress(starts, fits)))
         lines = lines[fits]
-    columns = [list(map(str.strip, cells[k::width])) for k in range(width)]
+    columns = [cells[k::width] for k in range(width)]
     # a blank row has an empty cell in every column
     if all("" in column for column in columns):
         filled = np.zeros(len(lines), dtype=bool)

@@ -300,27 +300,40 @@ def graph_with_isolated_nodes(rng):
     return BipartiteGraph(edges, red_nodes=reds, blue_nodes=blues)
 
 
-def kernel_step(kernel, graph, partition, side):
-    """Step ``side`` of ``partition`` by calling a best-label kernel directly;
-    returns (red labels, blue labels) as lists."""
+def kernel_inputs(graph, partition, side):
+    """The arguments a best-label kernel takes for stepping ``side`` of
+    ``partition``, built here from the graph's edges, and the aligned
+    (red labels, blue labels)."""
     mapping = label_map(partition)
     red_l = np.array([mapping[n] for n in graph.red_nodes], dtype=np.int64)
     blue_l = np.array([mapping[n] for n in graph.blue_nodes], dtype=np.int64)
     c = partition.n_communities
     if side == RED:
-        moving, fixed, fixed_l = graph.edge_red, graph.edge_blue, blue_l
-        degrees, fixed_degrees = graph.red_degrees, graph.blue_degrees
+        fixed_l, fixed_degrees, degrees = blue_l, graph.blue_degrees, graph.red_degrees
+        # the red end of every edge, the edges grouped by blue end
+        order = np.argsort(graph.edge_blue, kind="stable")
+        moving = graph.edge_red[order]
     else:
-        moving, fixed, fixed_l = graph.edge_blue, graph.edge_red, red_l
-        degrees, fixed_degrees = graph.blue_degrees, graph.red_degrees
+        fixed_l, fixed_degrees, degrees = red_l, graph.red_degrees, graph.blue_degrees
+        moving = graph.edge_blue
     fixed_mass = np.zeros(c, dtype=np.int64)
     np.add.at(fixed_mass, fixed_l, fixed_degrees)
-    labels = kernel(moving * c + fixed_l[fixed], degrees, fixed_mass, graph.n_edges)
+    args = (moving, fixed_degrees, fixed_l, degrees, fixed_mass, graph.n_edges)
+    return args, red_l, blue_l
+
+
+def kernel_step(kernel, graph, partition, side, with_sum=False):
+    """Step ``side`` of ``partition`` by calling a best-label kernel directly;
+    returns (red labels, blue labels) as lists, and the kernel's score sum
+    with ``with_sum``."""
+    args, red_l, blue_l = kernel_inputs(graph, partition, side)
+    labels, total = kernel(*args, brim._Scratch(graph))
     if side == RED:
         red_l = labels
     else:
         blue_l = labels
-    return red_l.tolist(), blue_l.tolist()
+    stepped = red_l.tolist(), blue_l.tolist()
+    return stepped + (total,) if with_sum else stepped
 
 
 def brim_step_lists(graph, partition, side):
@@ -379,6 +392,101 @@ class TestSparseKernelMatchesDenseOracle(TestSparseStepMatchesDenseOracle):
 
 class TestDenseKernelMatchesDenseOracle(TestSparseStepMatchesDenseOracle):
     step = staticmethod(partial(kernel_step, brim._dense_best_labels))
+
+
+class TestTwoPassSparseKernelMatchesDenseOracle(TestSparseKernelMatchesDenseOracle):
+    # past the packing bound, each node's best score and lowest best label
+    # are found in two passes
+    @pytest.fixture(autouse=True)
+    def unpacked(self, monkeypatch):
+        monkeypatch.setattr(brim, "_PACKED_SCORES", 0)
+
+
+class TestTwoPassDenseKernelMatchesDenseOracle(TestDenseKernelMatchesDenseOracle):
+    @pytest.fixture(autouse=True)
+    def unpacked(self, monkeypatch):
+        monkeypatch.setattr(brim, "_PACKED_SCORES", 0)
+
+
+class TestInt64KeySparseKernelMatchesDenseOracle(TestSparseKernelMatchesDenseOracle):
+    # past the int32 bound, the sorted keys node << s | (mask - label) are int64
+    @pytest.fixture(autouse=True)
+    def int64_keys(self, monkeypatch):
+        monkeypatch.setattr(brim, "_INT32_KEYS", 0)
+
+
+class TestKernelScoreSum:
+    """Each kernel's sum of chosen scores is the exact modularity numerator
+    of the partition with the stepped side relabelled."""
+
+    @pytest.mark.parametrize("packed_limit", [2**62, 0])
+    @pytest.mark.parametrize("kernel", ["sparse", "dense"])
+    def test_sum_is_the_numerator_after_the_step(self, monkeypatch, kernel, packed_limit):
+        monkeypatch.setattr(brim, "_PACKED_SCORES", packed_limit)
+        kernel = getattr(brim, f"_{kernel}_best_labels")
+        rng = np.random.default_rng(77)
+        ties = fallbacks = 0
+        for case in range(300):
+            g = graph_with_isolated_nodes(rng)
+            # few communities make many equal scores; many leave communities
+            # that no edge of a node reaches, whose lowest label can win a tie
+            c = int(rng.integers(1, 4 if case % 2 else g.n_red + g.n_blue + 1))
+            part = random_partition(g, c, rng)
+            for side in (RED, BLUE):
+                red_l, blue_l, total = kernel_step(kernel, g, part, side, with_sum=True)
+                expected = brim._modularity_numerator(g, np.array(red_l), np.array(blue_l), c)
+                assert total == expected
+                args, _, _ = kernel_inputs(g, part, side)
+                counts, scores = dense_scores(*args)
+                chosen = np.array(red_l if side == RED else blue_l)
+                ties += int((scores == scores.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
+                reached = counts[np.arange(len(chosen)), chosen] > 0
+                fallbacks += int(np.any(~reached & (args[3] > 0)))
+        assert ties > 0 and fallbacks > 0
+
+    def test_best_labels_returns_the_sum_on_both_paths(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            g = graph_with_isolated_nodes(rng)
+            c = int(rng.integers(1, g.n_red + g.n_blue + 1))
+            part = random_partition(g, c, rng)
+            red_l, blue_l = part.red_labels, part.blue_labels
+            scratch = brim._Scratch(g)
+            blue_new, _ = brim._best_labels(g, BLUE, red_l, c, scratch)
+            red_new, total = brim._best_labels(g, RED, blue_new, c, scratch)
+            assert total == brim._modularity_numerator(g, red_new, blue_new, c)
+
+
+def dense_scores(moving, fixed_degrees, fixed_labels, degrees, fixed_mass, m):
+    """The n x c tables of edge counts and of scores count * m - degree *
+    fixed_mass of a kernel's inputs."""
+    counts = np.zeros((len(degrees), len(fixed_mass)), dtype=np.int64)
+    np.add.at(counts, (moving, np.repeat(fixed_labels, fixed_degrees)), 1)
+    return counts, counts * m - np.outer(degrees, fixed_mass)
+
+
+class TestKeyWidth:
+    def test_int32_keys_while_node_count_shifted_fits(self, monkeypatch):
+        # 3 red nodes, c = 4 (s = 2): the largest key bound is 3 << 2 = 12
+        g = BipartiteGraph([(f"r{i}", f"b{j}") for i in range(3) for j in range(4)])
+        part = random_partition(g, 4, np.random.default_rng(0))
+        args, _, _ = kernel_inputs(g, part, RED)
+        expected = dense_brim_step(g, part, RED)[0]
+        for limit, dtype in ((13, np.int32), (12, np.int64)):
+            monkeypatch.setattr(brim, "_INT32_KEYS", limit)
+            scratch = brim._Scratch(g)
+            labels, _ = brim._sparse_best_labels(*args, scratch)
+            key_buffers = {d for name, d in scratch._arrays if name in ("shifted", "run_key")}
+            assert key_buffers == {dtype}
+            assert labels.tolist() == expected
+
+    def test_packed_while_max_degree_times_m_shifted_fits(self, monkeypatch):
+        # max degree 4, m = 12, c = 4 (s = 2): 4 * 12 << 2 = 192
+        g = BipartiteGraph([(f"r{i}", f"b{j}") for i in range(3) for j in range(4)])
+        monkeypatch.setattr(brim, "_PACKED_SCORES", 193)
+        assert brim._packable(g.red_degrees, g.n_edges, 2)
+        monkeypatch.setattr(brim, "_PACKED_SCORES", 192)
+        assert not brim._packable(g.red_degrees, g.n_edges, 2)
 
 
 class TestKernelDispatch:
@@ -442,6 +550,48 @@ class TestPinnedPartitions:
 
 
 class TestBrimConverge:
+    def test_one_numerator_per_converge(self, monkeypatch):
+        # later sweeps take the numerator from the red step's score sum
+        calls = []
+        numerator = brim._modularity_numerator
+        monkeypatch.setattr(
+            brim, "_modularity_numerator", lambda *a: calls.append(1) or numerator(*a)
+        )
+        g = pinned_graph()
+        result = brim_converge(g, random_partition(g, 20, np.random.default_rng(4)))
+        assert result.iterations > 1
+        assert len(calls) == 1
+        results = brim_multirun(g, runs=3, restarts_per_run=4, master_seed=9)
+        assert len(calls) == 1 + 12
+        assert all(r.modularity == bipartite_modularity(g, r.partition) for r in results)
+
+    def test_scratch_is_reused_across_restarts(self):
+        g = pinned_graph()
+        scratch = brim._Scratch(g)
+        init = random_partition(g, 25, np.random.default_rng(8))
+        first = brim_converge(g, init, scratch=scratch)
+        arrays = dict(scratch._arrays)
+        assert arrays
+        again = brim_converge(g, init, scratch=scratch)
+        assert again.partition == first.partition
+        assert all(scratch._arrays[k] is v for k, v in arrays.items())
+        copy = pickle.loads(pickle.dumps(scratch))
+        assert copy._arrays == {} and np.array_equal(copy.red_by_blue, scratch.red_by_blue)
+
+    def test_scratch_of_another_graph_is_rejected(self):
+        g = pinned_graph()
+        other = disjoint_bicliques(2, 2, 3)
+        with pytest.raises(ValueError, match="another graph"):
+            brim_converge(g, random_partition(g, 3, np.random.default_rng(1)),
+                          scratch=brim._Scratch(other))
+
+    def test_scratch_orders_the_red_ends_by_blue_node(self):
+        g = pinned_graph()
+        red_by_blue = brim._Scratch(g).red_by_blue
+        blue_ends = np.repeat(np.arange(g.n_blue), g.blue_degrees)
+        pairs = sorted(zip(g.edge_blue.tolist(), g.edge_red.tolist()))
+        assert list(zip(blue_ends.tolist(), red_by_blue.tolist())) == pairs
+
     def test_two_triples_reach_component_split(self):
         # stochastic local search: a known good start (collapsed starts
         # exist, which is what multirun restarts are for)

@@ -255,6 +255,31 @@ class TestLoaderEqualsOracle:
                 assert observed(graph) == oracle(edges)
 
 
+    def test_node_lists_that_declare_every_id_or_all_but_one(self, tmp_path):
+        # ids are looked up among the declared ones alone when those hold
+        # them all, and numbered in order of appearance otherwise
+        rng = np.random.default_rng(8)
+        red_pool = [f"r{i}" for i in range(6)]
+        blue_pool = [f"f{i}" for i in range(6)]
+        undeclared = 0
+        for case in range(40):
+            m = int(rng.integers(1, 25))
+            edges = list(zip(rng.choice(red_pool, m).tolist(), rng.choice(blue_pool, m).tolist()))
+            red = [red_pool[i] for i in rng.permutation(6)]
+            blue = [blue_pool[i] for i in rng.permutation(6)]
+            if case % 2:
+                side = red if case % 4 == 1 else blue
+                dropped = side.pop(int(rng.integers(len(side))))
+                undeclared += any(dropped in edge for edge in edges)
+            edge_file, node_file = tmp_path / f"e{case}.csv", tmp_path / f"n{case}.csv"
+            edge_file.write_text("".join(f"{r},{b}\n" for r, b in edges))
+            node_file.write_text("".join(f"{n},red\n" for n in red)
+                                 + "".join(f"{n},blue\n" for n in blue))
+            graph = load_edge_list(edge_file, node_list_path=node_file)
+            assert observed(graph) == oracle(edges, red, blue)
+        assert undeclared > 0
+
+
 class TestLoaderErrorLines:
     def check(self, build, expected):
         with pytest.raises(InputError) as info:
@@ -284,6 +309,17 @@ class TestLoaderErrorLines:
         self.check(
             lambda: load_edge_list(edges, node_list_path=nodes),
             f"{edges}:2: identifier 'd' appears on both sides",
+        )
+
+    def test_declared_red_id_at_a_blue_end(self, tmp_path):
+        # every red end is declared, so only the blue ends are numbered anew
+        edges = tmp_path / "e.csv"
+        nodes = tmp_path / "n.csv"
+        edges.write_text("a,b\nc,a\n")
+        nodes.write_text("a,red\nb,blue\nc,red\n")
+        self.check(
+            lambda: load_edge_list(edges, node_list_path=nodes),
+            f"{edges}:2: identifier 'a' appears on both sides",
         )
 
     def test_node_declared_twice(self, tmp_path):

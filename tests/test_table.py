@@ -180,6 +180,41 @@ class TestPlainTextOracle:
             read_columns(path, 2, delimiter="§")
 
 
+class TestPaddedCellsOracle:
+    # cells padded with characters str.strip removes, ASCII and not
+    PADS = ["", " ", "\t", "\xa0", "\u2003", " \t", "\x1f"]
+
+    def random_text(self, rng, width, pads):
+        lines = []
+        for _ in range(rng.integers(0, 8)):
+            cells = [
+                rng.choice(pads) + rng.choice(["a", "b2", "", "c d"]) + rng.choice(pads)
+                for _ in range(width)
+            ]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + ("\n" if lines and rng.random() < 0.7 else "")
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_read_columns_and_read_rows_equal_the_csv_module(self, tmp_path, width):
+        rng = np.random.default_rng(40 + width)
+        path = tmp_path / "t.csv"
+        for case in range(300):
+            # a third of the texts is ASCII with no padding at all, where
+            # the cells need no strip
+            pads = [""] if case % 3 == 0 else self.PADS[: 2 + case % 6]
+            path.write_text(self.random_text(rng, width, pads), encoding="utf-8", newline="")
+            header = bool(rng.random() < 0.3)
+            expected = csv_columns(path, width, header)
+            lines, columns = read_columns(path, width, header=header)
+            assert (lines.tolist(), columns) == expected
+            rows = [
+                (line, [c.strip() for c in row])
+                for line, row in csv_records(path, False)
+                if any(c.strip() for c in row) and not (header and line == 1)
+            ]
+            assert list(read_rows(path, header=header)) == rows
+
+
 class TestWriteColumns:
     CELLS = [",", '"', "\r", "\n", " pad ", "", "é", "日本", "a,b", 'say "hi"',
              "x\r\ny", "plain", "0", "  ", "z "]
@@ -243,6 +278,35 @@ class TestReadFaults:
             read_columns(path, 2)
         with pytest.raises(InputError, match=r"edges\.csv:3: field larger than field limit"):
             list(read_rows(path))
+
+    def test_line_longer_than_the_limit_of_short_cells_loads(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "edges.csv"
+        half = "x" * (limit // 2 + 1)
+        path.write_text(f"a,b\n{half},{half}\nc,d\n")
+        lines, columns = read_columns(path, 2)
+        assert (lines.tolist(), columns) == csv_columns(path, 2, False)
+        assert columns == [["a", half, "c"], ["b", half, "d"]]
+        path.write_text(",".join(["ab"] * (limit // 2)) + "\n")
+        assert list(read_rows(path)) == [(1, ["ab"] * (limit // 2))]
+
+    def test_oversized_plain_cell_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "edges.csv"
+        path.write_text(f"a,b\n\nc,d\n{'x' * (limit + 1)},e\nf,g\n")
+        with pytest.raises(InputError, match=r"edges\.csv:4: field larger than field limit"):
+            read_columns(path, 2)
+        with pytest.raises(InputError, match=r"edges\.csv:4: field larger than field limit"):
+            list(read_rows(path))
+        with pytest.raises(InputError, match=r"edges\.csv:4: field larger than field limit"):
+            load_edge_list(path)
+        # a line of one cell, with and without its line end
+        for end in ("\n", ""):
+            path.write_text(f"a\n{'x' * limit}\n{'x' * (limit + 1)}{end}")
+            with pytest.raises(InputError, match=r"edges\.csv:3: field larger than field limit"):
+                list(read_rows(path))
+            path.write_text(f"a\n{'x' * limit}{end}")
+            assert list(read_rows(path)) == [(1, ["a"]), (2, ["x" * limit])]
 
 
 class TestIntCells:
