@@ -202,22 +202,31 @@ _PACKED_SCORES = 2**62
 
 class _Scratch:
     """What the half-steps of optimizer calls on ``graph`` reuse: the red end
-    of every edge with the edges in (blue, red) order, which lines up with
-    ``np.repeat`` of per-blue-node values by ``blue_degrees`` as
-    ``edge_blue`` does by ``red_degrees``, and buffers that a sweep writes
-    its edge-sized arrays into.
+    of every edge with the edges in (blue, red) order (``red_by_blue``), and
+    buffers that a sweep writes some of its edge-sized arrays into.
 
     One is made per ``brim_multirun`` or ``adapt_module_count`` call, or per
     ``brim_converge`` call given none; it is never shared between threads.
-    A copy sent to a worker process starts with empty buffers.
+    A copy sent to a worker process starts empty.
     """
 
-    __slots__ = ("graph", "red_by_blue", "_arrays")
+    __slots__ = ("graph", "_red_by_blue", "_arrays")
 
     def __init__(self, graph: BipartiteGraph):
         self.graph = graph
-        self.red_by_blue = graph.edge_red[np.argsort(graph.edge_blue, kind="stable")]
+        self._red_by_blue = None
         self._arrays = {}
+
+    @property
+    def red_by_blue(self) -> np.ndarray:
+        """The red end of every edge, the edges sorted stably by blue end, so
+        that it lines up with ``np.repeat`` of per-blue-node values by
+        ``blue_degrees`` as ``edge_blue`` does by ``red_degrees``; sorted on
+        first use, which only a red step makes."""
+        if self._red_by_blue is None:
+            graph = self.graph
+            self._red_by_blue = graph.edge_red[np.argsort(graph.edge_blue, kind="stable")]
+        return self._red_by_blue
 
     def __reduce__(self):
         return _Scratch, (self.graph,)

@@ -44,11 +44,6 @@ def _read(path) -> tuple[bytes, str]:
         ) from None
 
 
-# the ASCII characters str.strip removes, but for "\n", which no cell of
-# text split at "\n" holds
-_ASCII_STRIPPED = bytes(b for b in range(128) if chr(b).isspace() and b != 10)
-
-
 def _needs_csv(text: str, delimiter: str) -> bool:
     """Whether ``text`` holds a quote or a carriage return, which only the
     ``csv`` module reads right, or ``delimiter`` is not one ASCII byte."""
@@ -68,8 +63,7 @@ def _records(path, data: bytes, text: str, delimiter: str):
     those two deleted, what is left of a line is its delimiters, so the
     field counts come from the line ends that remain.  No cell is longer
     than its line, so cells are measured against the field limit only when
-    a line is longer; and ASCII text without a character str.strip removes
-    is not stripped.
+    a line is longer.
     """
     if _needs_csv(text, delimiter):
         return _csv_records(path, text, delimiter)
@@ -87,9 +81,7 @@ def _records(path, data: bytes, text: str, delimiter: str):
         if first is not None:
             line = np.searchsorted(np.cumsum(counts), first, side="right") + 1
             raise InputError(f"{path}:{line}: field larger than field limit ({limit})")
-    if not data.isascii() or any(byte in data for byte in _ASCII_STRIPPED):
-        cells = list(map(str.strip, cells))
-    return np.arange(1, counts.size + 1, dtype=np.int64), counts, cells
+    return np.arange(1, counts.size + 1, dtype=np.int64), counts, list(map(str.strip, cells))
 
 
 def _csv_records(path, text: str, delimiter: str):

@@ -592,6 +592,16 @@ class TestBrimConverge:
         pairs = sorted(zip(g.edge_blue.tolist(), g.edge_red.tolist()))
         assert list(zip(blue_ends.tolist(), red_by_blue.tolist())) == pairs
 
+    def test_red_order_is_sorted_only_for_a_red_step(self):
+        g = pinned_graph()
+        scratch = brim._Scratch(g)
+        blue, _ = brim._best_labels(g, BLUE, np.zeros(g.n_red, np.int64), 1, scratch)
+        assert scratch._red_by_blue is None
+        brim._best_labels(g, RED, blue, int(blue.max()) + 1, scratch)
+        assert scratch._red_by_blue is not None
+        copy = pickle.loads(pickle.dumps(scratch))
+        assert copy._red_by_blue is None
+
     def test_two_triples_reach_component_split(self):
         # stochastic local search: a known good start (collapsed starts
         # exist, which is what multirun restarts are for)
