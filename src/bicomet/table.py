@@ -53,8 +53,8 @@ def _needs_csv(text: str, delimiter: str) -> bool:
 def _records(path, data: bytes, text: str, delimiter: str):
     """(lines, counts, cells) of the CSV records of ``text``, the utf-8
     ``data`` read from ``path``: the int64 number of the line each record
-    starts on, its int64 number of fields, and the stripped cells of all
-    records in one list.
+    starts on, its int64 number of fields, and the raw cells of all records
+    in one list.
 
     Records are numbered by their first physical line, so a quoted cell that
     holds a line break shifts no later number.  Text that needs no ``csv``
@@ -81,7 +81,7 @@ def _records(path, data: bytes, text: str, delimiter: str):
         if first is not None:
             line = np.searchsorted(np.cumsum(counts), first, side="right") + 1
             raise InputError(f"{path}:{line}: field larger than field limit ({limit})")
-    return np.arange(1, counts.size + 1, dtype=np.int64), counts, list(map(str.strip, cells))
+    return np.arange(1, counts.size + 1, dtype=np.int64), counts, cells
 
 
 def _csv_records(path, text: str, delimiter: str):
@@ -97,8 +97,7 @@ def _csv_records(path, text: str, delimiter: str):
     except csv.Error as exc:
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    cells = list(map(str.strip, chain.from_iterable(rows)))
-    return np.array(lines, dtype=np.int64), counts, cells
+    return np.array(lines, dtype=np.int64), counts, list(chain.from_iterable(rows))
 
 
 def read_rows(path, delimiter: str = ",", header: bool = False):
@@ -110,7 +109,7 @@ def read_rows(path, delimiter: str = ",", header: bool = False):
     lines, counts, cells = _records(path, *_read(path), delimiter)
     start = 0
     for lineno, end in zip(lines.tolist(), np.cumsum(counts).tolist()):
-        row = cells[start:end]
+        row = [c.strip() for c in cells[start:end]]
         start = end
         if not any(row):
             continue
@@ -135,13 +134,13 @@ def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
     if not fits.all():
         starts = (np.cumsum(counts) - counts).tolist()
         for i in np.flatnonzero(~fits).tolist():
-            if any(cells[starts[i] : starts[i] + counts[i]]):
+            if any(map(str.strip, cells[starts[i] : starts[i] + counts[i]])):
                 raise InputError(
                     f"{path}:{lines[i]}: expected {width} fields, got {counts[i]}"
                 )
         cells = list(chain.from_iterable(cells[s : s + width] for s in compress(starts, fits)))
         lines = lines[fits]
-    columns = [cells[k::width] for k in range(width)]
+    columns = [list(map(str.strip, cells[k::width])) for k in range(width)]
     # a blank row has an empty cell in every column
     if all("" in column for column in columns):
         filled = np.zeros(len(lines), dtype=bool)
