@@ -26,7 +26,6 @@ from .errors import InputError
 from .graph import (
     BipartiteGraph,
     PeriodGraphSeries,
-    degree_sequences,
     density,
     load_edge_list,
     load_period_series,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .graph import BLUE, RED, BipartiteGraph, rank_by_id
 from .seeding import STREAM_BRIM_ADAPT, STREAM_BRIM_RUN, derive_seed
-from .table import int_cells, read_rows, write_columns
+from .table import int_cells, read_columns, write_columns
 
 DEFAULT_MAX_SWEEPS = 200
 
@@ -111,10 +111,6 @@ class Partition:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels, minlength=self.n_communities).tolist())
-
-    @property
-    def is_compact(self) -> bool:
-        return all(c > 0 for c in self.sizes())
 
     def compact(self) -> "Partition":
         """Drop empty communities and renumber canonically.
@@ -610,41 +606,40 @@ def read_partition_csv(path) -> Partition:
     Every label must lie below the file's node count, as in any compact
     partition, so no table indexed by label outgrows the partition.
     """
-    red_nodes, blue_nodes, red_labels, blue_labels = [], [], [], []
-    seen = set()
-    top, top_line = -1, 0
-    for lineno, cells in read_rows(path):
-        if lineno == 1 and cells[0] == "node_id":
-            continue
-        if len(cells) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
-        node, side, label = cells
-        try:
-            label = int(label)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad community {label!r}") from None
-        if label < 0:
-            raise InputError(f"{path}:{lineno}: negative community {label}")
-        if label > top:
-            top, top_line = label, lineno
-        if node in seen:
-            raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
-        seen.add(node)
-        if side == RED:
-            red_nodes.append(node)
-            red_labels.append(label)
-        elif side == BLUE:
-            blue_nodes.append(node)
-            blue_labels.append(label)
-        else:
-            raise InputError(f"{path}:{lineno}: unknown side {side!r}")
-    if not red_nodes and not blue_nodes:
+    lines, (nodes, sides, cells) = read_columns(path, 3, header=("node_id",))
+    try:
+        labels = list(map(int, cells))
+        faulty = min(labels, default=0) < 0
+    except ValueError:
+        faulty = True
+    if faulty or len(set(nodes)) < len(nodes) or not {RED, BLUE}.issuperset(sides):
+        # the first faulty row, its faults checked in the order a row is read
+        seen = set()
+        for line, node, side, cell in zip(lines.tolist(), nodes, sides, cells):
+            try:
+                label = int(cell)
+            except ValueError:
+                raise InputError(f"{path}:{line}: bad community {cell!r}") from None
+            if label < 0:
+                raise InputError(f"{path}:{line}: negative community {label}")
+            if node in seen:
+                raise InputError(f"{path}:{line}: node {node!r} listed twice")
+            seen.add(node)
+            if side not in (RED, BLUE):
+                raise InputError(f"{path}:{line}: unknown side {side!r}")
+    if not nodes:
         raise InputError(f"empty partition file: {path}")
-    if top >= len(seen):
+    top = max(labels)
+    if top >= len(nodes):
         raise InputError(
-            f"{path}:{top_line}: community {top} is not below the node count {len(seen)}"
+            f"{path}:{lines[labels.index(top)]}: community {top} is not below "
+            f"the node count {len(nodes)}"
         )
-    return Partition.from_arrays(red_nodes, blue_nodes, red_labels, blue_labels)
+    is_red = np.fromiter(map(RED.__eq__, sides), bool, len(sides))
+    labels = np.array(labels, dtype=np.int64)
+    return Partition(
+        compress(nodes, is_red), compress(nodes, ~is_red), labels[is_red], labels[~is_red], top + 1
+    )
 
 
 def run_summary(results: list[RunResult]) -> list[dict]:

@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .brim import Partition
-from .errors import InputError
+from .errors import InputError, _RowError
 from .stats import HypergeomParams, overlap_pvalue
-from .table import read_rows, write_rows
+from .table import read_columns, write_rows
 
 SCOPE_CARRIERS = "carriers"
 SCOPE_SIDE = "side"
@@ -34,18 +34,17 @@ class AttributeCatalog:
 
     def __init__(self, rows: Iterable[tuple[str, str, str]]):
         by_category: dict[str, dict[str, str]] = {}
-        for node, category, value in rows:
+        for i, (node, category, value) in enumerate(rows):
             node, category, value = str(node), str(category), str(value)
             if not node or not category or not value:
-                raise InputError("attribute rows need node, category and value")
-            assigned = by_category.setdefault(category, {})
-            existing = assigned.get(node)
-            if existing is not None and existing != value:
-                raise InputError(
+                raise _RowError(i, "attribute rows need node, category and value")
+            existing = by_category.setdefault(category, {}).setdefault(node, value)
+            if existing != value:
+                raise _RowError(
+                    i,
                     f"node {node!r} has conflicting {category!r} values "
-                    f"{existing!r} and {value!r}"
+                    f"{existing!r} and {value!r}",
                 )
-            assigned[node] = value
         self._by_category = by_category
 
     @property
@@ -58,25 +57,20 @@ class AttributeCatalog:
         except KeyError:
             raise InputError(f"unknown category {category!r}") from None
 
-    def distinct_values(self, category: str) -> tuple[str, ...]:
-        return tuple(sorted(set(self._by_category[category].values())))
-
     def __len__(self):
         return sum(len(v) for v in self._by_category.values())
 
 
 def load_attribute_catalog(path) -> AttributeCatalog:
-    """Read `node_id,category,value` rows into a catalog."""
-    rows = []
-    for lineno, cells in read_rows(path):
-        if lineno == 1 and cells[:2] == ["node_id", "category"]:
-            continue
-        if len(cells) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
-        rows.append((cells[0], cells[1], cells[2]))
-    if not rows:
+    """Read `node_id,category,value` rows into a catalog; InputError at
+    ``path:line`` on a malformed row."""
+    lines, columns = read_columns(path, 3, header=("node_id", "category"))
+    if not lines.size:
         raise InputError(f"empty attribute catalog: {path}")
-    return AttributeCatalog(rows)
+    try:
+        return AttributeCatalog(zip(*columns))
+    except _RowError as exc:
+        raise InputError(f"{path}:{lines[exc.row]}: {exc}") from exc
 
 
 @dataclass(frozen=True)

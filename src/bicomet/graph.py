@@ -17,21 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _RowError
 from .table import gather, read_columns, read_rows, write_columns
 
 logger = logging.getLogger(__name__)
 
 RED = "red"
 BLUE = "blue"
-
-
-class _RowError(InputError):
-    """An InputError about one edge, at ``row`` of the edge sequence."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 class BipartiteGraph:
@@ -129,13 +121,6 @@ class BipartiteGraph:
         if self._id_rank is None:
             self._id_rank = rank_by_id(self.red_nodes + self.blue_nodes)
         return self._id_rank
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        """Edges as identifier pairs, ordered by internal indices."""
-        return [
-            (self.red_nodes[r], self.blue_nodes[b])
-            for r, b in zip(self.edge_red.tolist(), self.edge_blue.tolist())
-        ]
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
@@ -275,11 +260,6 @@ def density(graph: BipartiteGraph) -> float:
     return graph.n_edges / (graph.n_red * graph.n_blue)
 
 
-def degree_sequences(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node degree arrays (red side, blue side); copies, safe to mutate."""
-    return graph.red_degrees.copy(), graph.blue_degrees.copy()
-
-
 def load_node_list(path, delimiter: str = ",", header: bool = False):
     """Read a `node_id,side` file; returns (red_ids, blue_ids) in file order.
 
@@ -403,8 +383,10 @@ class PeriodGraphSeries:
 def load_period_series(manifest_path) -> PeriodGraphSeries:
     """Load a period series from a manifest of `period,edges[,nodes]` rows.
 
-    Relative paths resolve against the manifest's directory.  A first row
-    whose first cell is exactly "period" is treated as a header.
+    Relative paths resolve against the manifest's directory.  A first
+    non-blank row whose first cell is "period", in any case, is a header.
+    Raises InputError at ``manifest:line`` on a row of another width or with
+    an empty period label.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -420,6 +402,8 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
                 f"{manifest_path}:{lineno}: expected 2 or 3 fields, got {len(cells)}"
             )
         label = cells[0]
+        if not label:
+            raise InputError(f"{manifest_path}:{lineno}: empty period label")
         edges_path = base / cells[1]
         nodes_path = base / cells[2] if len(cells) == 3 and cells[2] else None
         graph = load_edge_list(edges_path, node_list_path=nodes_path)

@@ -4,8 +4,9 @@ Files are utf-8 and comma-separated with "\\n" line ends.  ``read_rows``
 skips blank rows, strips every cell and numbers the lines, so each caller
 only applies its own header rule and field checks and reports a bad row as
 ``path:line``.  ``read_columns`` applies the same rules to a table of fixed
-width and hands its cells on column by column; ``write_columns`` is its
-counterpart.
+width, checks the width of every row and hands its cells on column by
+column; every table but the manifest, whose width varies, is read by it.
+``write_columns`` is its counterpart.
 
 Every table moves as one string: a file is read and decoded once, and
 written with one join and one write.  Text that holds no quote and no
@@ -118,18 +119,23 @@ def read_rows(path, delimiter: str = ",", header: bool = False):
         yield lineno, row
 
 
-def read_columns(path, width: int, delimiter: str = ",", header: bool = False):
+def read_columns(path, width: int, delimiter: str = ",", header: bool | tuple = False):
     """The non-blank rows of a table of ``width`` fields, as columns.
 
     Returns (lines, columns): the int64 line number of every kept row and
-    ``width`` lists of its stripped cells.  Blank rows and the header are
-    skipped as by ``read_rows``; the first non-blank row with another number
-    of fields raises InputError at ``path:line``.
+    ``width`` lists of its stripped cells.  Blank rows are skipped as by
+    ``read_rows``.  The first line is skipped as a header when ``header`` is
+    True, or when ``header`` is a tuple of strings and the line's first
+    stripped cells are those strings, whatever the line's width.  The first
+    other non-blank row with another number of fields raises InputError at
+    ``path:line``.
     """
     lines, counts, cells = _records(path, *_read(path), delimiter)
-    if header and lines.size:
-        del cells[: counts[0]]
-        lines, counts = lines[1:], counts[1:]
+    if lines.size and header:
+        first = list(map(str.strip, cells[: counts[0]]))
+        if header is True or first[: len(header)] == list(header):
+            del cells[: counts[0]]
+            lines, counts = lines[1:], counts[1:]
     fits = counts == width
     if not fits.all():
         starts = (np.cumsum(counts) - counts).tolist()

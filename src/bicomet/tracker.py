@@ -20,7 +20,7 @@ import numpy as np
 from .brim import Partition
 from .errors import InputError
 from .stats import HypergeomParams, bonferroni_threshold, overlap_pvalue
-from .table import read_rows, write_rows
+from .table import read_columns, write_rows
 
 POPULATION_UNION = "union"
 POPULATION_INTERSECTION = "intersection"
@@ -358,22 +358,16 @@ _VALIDATED = {"true": True, "false": False}
 
 def read_link_table(path) -> list[TemporalLink]:
     """Read a link table; InputError with file:line on a malformed row."""
-    links = []
-    for lineno, cells in read_rows(path, header=True):
-        if len(cells) != 7:
-            raise InputError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
-        try:
-            links.append(
-                TemporalLink(
-                    period_from=cells[0],
-                    community_from=int(cells[1]),
-                    period_to=cells[2],
-                    community_to=int(cells[3]),
-                    overlap=int(cells[4]),
-                    p_value=float(cells[5]),
-                    validated=_VALIDATED[cells[6]],
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise InputError(f"{path}:{lineno}: bad value: {exc}") from None
-    return links
+    lines, columns = read_columns(path, 7, header=True)
+    parsers = (str, int, str, int, int, float, _VALIDATED.__getitem__)
+    try:
+        fields = [list(map(parse, column)) for parse, column in zip(parsers, columns)]
+    except (ValueError, KeyError):
+        # the first faulty row, its cells parsed in the order a row is read
+        for line, row in zip(lines.tolist(), zip(*columns)):
+            try:
+                for parse, cell in zip(parsers, row):
+                    parse(cell)
+            except (ValueError, KeyError) as exc:
+                raise InputError(f"{path}:{line}: bad value: {exc}") from None
+    return list(map(TemporalLink, *fields))

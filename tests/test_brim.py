@@ -639,7 +639,7 @@ class TestBrimConverge:
         for _ in range(20):
             g = random_graph(rng)
             result = brim_converge(g, random_partition(g, 5, rng))
-            assert result.partition.is_compact
+            assert 0 not in result.partition.sizes()
 
 
 class TestMultirun:
@@ -731,7 +731,11 @@ class TestPermutationInvariance:
             perm_blue = list(g.blue_nodes)
             rng.shuffle(perm_red)
             rng.shuffle(perm_blue)
-            g2 = BipartiteGraph(g.edge_list(), red_nodes=perm_red, blue_nodes=perm_blue)
+            edges = [
+                (g.red_nodes[r], g.blue_nodes[b])
+                for r, b in zip(g.edge_red.tolist(), g.edge_blue.tolist())
+            ]
+            g2 = BipartiteGraph(edges, red_nodes=perm_red, blue_nodes=perm_blue)
 
             def init_for(graph):
                 return Partition.from_arrays(
@@ -790,12 +794,86 @@ class TestPartitionCsv:
             read_partition_csv(path)
         path.write_text("node_id,side,community\nr0,red,2\nb0,blue,0\nb1,blue,1\n")
         assert read_partition_csv(path).n_communities == 3
+        # labels are read as by int: past int64, and with a sign
+        path.write_text(f"node_id,side,community\nr0,red,0\nb0,blue,{2**64}\n")
+        with pytest.raises(
+            InputError,
+            match=r"part\.csv:3: community 18446744073709551616 is not below the node count 2",
+        ):
+            read_partition_csv(path)
+        path.write_text("node_id,side,community\nr0,red,+3\nb0,blue,0\nb1,blue,1\n")
+        with pytest.raises(
+            InputError, match=r"part\.csv:2: community 3 is not below the node count 3"
+        ):
+            read_partition_csv(path)
+        path.write_text("r0,red,+3\nb0,blue,0\nb1,blue,1\nb2,blue, 2\n")
+        assert read_partition_csv(path).labels.tolist() == [3, 0, 1, 2]
+        # the first row that holds the largest label is named
+        path.write_text("r0,red,0\nb0,blue,5\nb1,blue,5\n")
+        with pytest.raises(
+            InputError, match=r"part\.csv:2: community 5 is not below the node count 3"
+        ):
+            read_partition_csv(path)
 
     def test_rejects_node_listed_twice(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,red,0\nb0,blue,0\nr0,red,1\n")
         with pytest.raises(InputError, match=r"part\.csv:4: node 'r0' listed twice"):
             read_partition_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("r0,red,x\n", "1: bad community 'x'"),
+            ("r0,red,0\nb0,blue,1.0\n", "2: bad community '1.0'"),
+            ("r0,red,0\nb0,blue,\n", "2: bad community ''"),
+            ("r0,red,0\n\nb0,blue,-2\n", "3: negative community -2"),
+            ("r0,Red,0\n", "1: unknown side 'Red'"),
+            ("r0,red,0\nb0,,0\n", "2: unknown side ''"),
+            ("r0,red,0\nb0,blue\n", "2: expected 3 fields, got 2"),
+            ("r0,red,0,0\n", "1: expected 3 fields, got 4"),
+            # only a first line starting node_id is a header
+            ("r0,red,0\nnode_id,side,community\n", "2: bad community 'community'"),
+        ],
+    )
+    def test_single_fault_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "part.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            read_partition_csv(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_header_of_any_width_is_skipped(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text(" node_id ,side\nr0,red,0\n")
+        assert read_partition_csv(path) == Partition(("r0",), (), [0], [], 1)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("node_id,side,community\n\n")
+        with pytest.raises(InputError) as info:
+            read_partition_csv(path)
+        assert str(info.value) == f"empty partition file: {path}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a row of the wrong width is reported before any earlier fault
+            ("r0,red,x\nr1,red,0,0\n", "2: expected 3 fields, got 4"),
+            # then the earliest faulty row, before a label too large
+            ("r0,red,9\nr0,purple,0\nb0,blue,x\n", "2: node 'r0' listed twice"),
+            # within one row: bad label, negative label, repeated node, unknown side
+            ("r0,red,0\nr0,purple,x\n", "2: bad community 'x'"),
+            ("r0,red,0\nr0,purple,-1\n", "2: negative community -1"),
+            ("r0,red,0\nr0,purple,0\n", "2: node 'r0' listed twice"),
+        ],
+    )
+    def test_first_fault_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "part.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            read_partition_csv(path)
+        assert str(info.value) == f"{path}:{message}"
 
 
 class TestFixedWorkPerGraph:

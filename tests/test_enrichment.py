@@ -48,13 +48,86 @@ class TestCatalog:
         path.write_text("f1,sector,A\nf2,sector,B\nbank0,bank_type,X\n")
         catalog = load_attribute_catalog(path)
         assert catalog.categories == ("bank_type", "sector")
-        assert catalog.distinct_values("sector") == ("A", "B")
+        assert sorted(set(catalog.assignments("sector").values())) == ["A", "B"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "attrs.csv"
         path.write_text("\n")
         with pytest.raises(InputError, match="empty"):
             load_attribute_catalog(path)
+        # a header of any width, and no row
+        path.write_text("node_id,category\n")
+        with pytest.raises(InputError) as info:
+            load_attribute_catalog(path)
+        assert str(info.value) == f"empty attribute catalog: {path}"
+
+
+CATALOG_HEADER = "node_id,category,value\n"
+
+
+class TestCatalogFaults:
+    """One fault per catalog file, and the ``path:line: message`` it gives."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                CATALOG_HEADER + "n1,sector,A\nn1,sector,B\n",
+                "3: node 'n1' has conflicting 'sector' values 'A' and 'B'",
+                id="conflicting-values",
+            ),
+            pytest.param(
+                CATALOG_HEADER + "n1,sector,A\n ,sector,B\n",
+                "3: attribute rows need node, category and value",
+                id="empty-node",
+            ),
+            pytest.param(
+                "n1,,A\n", "1: attribute rows need node, category and value", id="empty-category"
+            ),
+            pytest.param(
+                "n1,sector,A\n\nn2,sector,\n",
+                "3: attribute rows need node, category and value",
+                id="empty-value",
+            ),
+            pytest.param(
+                CATALOG_HEADER + "n1,sector\n", "2: expected 3 fields, got 2", id="short-row"
+            ),
+            pytest.param("n1,sector,A,B\n", "1: expected 3 fields, got 4", id="long-row"),
+            # only a first line starting node_id,category is a header
+            pytest.param(
+                "node_id\ncategory,sector,A\n", "1: expected 3 fields, got 1", id="not-a-header"
+            ),
+        ],
+    )
+    def test_single_fault_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "attrs.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            load_attribute_catalog(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a row of the wrong width is reported before any earlier fault
+            ("n1,sector,A\nn1,sector,B\nn2,sector\n", "3: expected 3 fields, got 2"),
+            # then the earliest faulty row
+            (
+                "n1,sector,A\nn1,sector,B\n,sector,A\n",
+                "2: node 'n1' has conflicting 'sector' values 'A' and 'B'",
+            ),
+            (
+                "n1,sector,A\nn2,,B\nn1,sector,B\n",
+                "2: attribute rows need node, category and value",
+            ),
+        ],
+    )
+    def test_first_fault_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "attrs.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            load_attribute_catalog(path)
+        assert str(info.value) == f"{path}:{message}"
 
 
 class TestThreshold:

@@ -5,7 +5,6 @@ from bicomet.errors import InputError
 from bicomet.graph import (
     BipartiteGraph,
     PeriodGraphSeries,
-    degree_sequences,
     density,
     load_edge_list,
     load_node_list,
@@ -21,6 +20,14 @@ def complete(p, q):
     return BipartiteGraph(
         [(r, b) for r in reds for b in blues], red_nodes=reds, blue_nodes=blues
     )
+
+
+def edge_ids(graph):
+    """The set of a graph's edges as (red id, blue id) pairs."""
+    return {
+        (graph.red_nodes[r], graph.blue_nodes[b])
+        for r, b in zip(graph.edge_red.tolist(), graph.edge_blue.tolist())
+    }
 
 
 class TestConstruction:
@@ -95,19 +102,20 @@ class TestDensity:
 
 class TestDegrees:
     def test_complete_2x3(self):
-        red, blue = degree_sequences(complete(2, 3))
+        g = complete(2, 3)
+        red, blue = g.red_degrees, g.blue_degrees
         assert list(red) == [3, 3]
         assert list(blue) == [2, 2, 2]
 
     def test_isolated_zero(self):
         g = BipartiteGraph([("b1", "f1")], red_nodes=["b1", "b2"], blue_nodes=["f1"])
-        red, blue = degree_sequences(g)
+        red, blue = g.red_degrees, g.blue_degrees
         assert list(red) == [1, 0]
         assert list(blue) == [1]
 
     def test_no_edges_all_zero(self):
         g = BipartiteGraph([], red_nodes=["r0", "r1"], blue_nodes=["b0"])
-        red, blue = degree_sequences(g)
+        red, blue = g.red_degrees, g.blue_degrees
         assert list(red) == [0, 0]
         assert list(blue) == [0]
 
@@ -175,7 +183,7 @@ class TestRoundTrip:
         g = BipartiteGraph([("b2", "f1"), ("b1", "f3"), ("b1", "f1")])
         write_edge_list(g, tmp_path / "e.csv")
         loaded = load_edge_list(tmp_path / "e.csv")
-        assert set(loaded.edge_list()) == set(g.edge_list())
+        assert edge_ids(loaded) == edge_ids(g)
         assert set(loaded.red_nodes) == set(g.red_nodes)
 
 
@@ -206,3 +214,11 @@ class TestPeriodSeries:
         manifest.write_text("period,edges\n")
         with pytest.raises(InputError, match="empty manifest"):
             load_period_series(manifest)
+
+    def test_empty_period_label_names_its_line(self, tmp_path):
+        (tmp_path / "e1.csv").write_text("b1,f1\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("Period,edges\n1980,e1.csv\n ,e1.csv\n")
+        with pytest.raises(InputError) as info:
+            load_period_series(manifest)
+        assert str(info.value) == f"{manifest}:3: empty period label"

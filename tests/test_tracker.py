@@ -329,6 +329,9 @@ class TestExport:
             export_evolution(self.make_chain(), "svg")
 
 
+BAD_INT = "invalid literal for int() with base 10:"
+
+
 class TestLinkTable:
     def test_round_trip(self, tmp_path):
         seq = persistence_sequence(periods=3, communities=2, size=5)
@@ -339,22 +342,47 @@ class TestLinkTable:
         assert back == links
 
     @pytest.mark.parametrize(
-        "row",
+        "row, message",
         [
-            "p00,0,p01,0,3,0.5",
-            "p00,zero,p01,0,3,0.5,false",
-            "p00,0,p01,0,3,low,false",
-            "p00,0,p01,0,3,0.5,maybe",
+            pytest.param(row, message, id=row)
+            for row, message in [
+                ("p00,0,p01,0,3,0.5", "expected 7 fields, got 6"),
+                ("p00,zero,p01,0,3,0.5,false", f"bad value: {BAD_INT} 'zero'"),
+                ("p00,0,p01,0,3,low,false", "bad value: could not convert string to float: 'low'"),
+                ("p00,0,p01,0,3,0.5,maybe", "bad value: 'maybe'"),
+                ("p00,0,p01,0,3,0.5,false,", "expected 7 fields, got 8"),
+                ("p00,0,p01,1.0,3,0.5,false", f"bad value: {BAD_INT} '1.0'"),
+                ("p00,0,p01,0,,0.5,false", f"bad value: {BAD_INT} ''"),
+                ("p00,0,p01,0,3,0.5,True", "bad value: 'True'"),
+            ]
         ],
     )
-    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "links.csv"
         path.write_text(
             "period_t,comm_i,period_t1,comm_j,overlap,p_value,validated\n"
             f"p00,0,p01,1,2,0.25,true\n{row}\n"
         )
-        with pytest.raises(InputError, match=r"links\.csv:3: "):
+        with pytest.raises(InputError) as info:
             read_link_table(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a row of the wrong width is reported before any earlier fault
+            ("h\np00,x,p01,0,3,0.5,false\np00,0,p01\n", "3: expected 7 fields, got 3"),
+            # then the earliest faulty row, and in it the first bad cell
+            ("h\np00,0,p01,0,3,0.5,no\np00,x,p01,0,3,0.5,false\n", "2: bad value: 'no'"),
+            ("h\np00,0,p01,x,3,y,no\n", f"2: bad value: {BAD_INT} 'x'"),
+        ],
+    )
+    def test_first_fault_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "links.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            read_link_table(path)
+        assert str(info.value) == f"{path}:{message}"
 
 
 class TestNullCalibration:
