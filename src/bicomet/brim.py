@@ -360,9 +360,11 @@ def _sparse_best_labels(moving, fixed_degrees, fixed_labels, degrees, fixed_mass
     best = np.maximum.reduceat(score, node_start)
     at_best = score == np.repeat(best, np.diff(node_start, append=runs))
     best_label = mask - np.maximum.reduceat(np.where(at_best, low, -1), node_start)
-    wins = (best > fallback_score) | ((best == fallback_score) & (best_label < fallback))
+    # best >= 0 >= fallback_score: the scores a node of degree d reaches sum to
+    # d * (m - their masses) >= 0, so the fallback wins only a tie at 0
+    wins = (best > fallback_score) | (best_label < fallback)
     labels[present] = np.where(wins, best_label, fallback)
-    return labels, int(np.where(wins, best, fallback_score).sum())
+    return labels, int(best.sum())
 
 
 def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partition:

@@ -104,9 +104,7 @@ def _load_config(path, section: str, cls):
     for key, raw in values.items():
         current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 value = int(raw)
             elif isinstance(current, float):
                 value = float(raw)

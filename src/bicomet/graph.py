@@ -260,13 +260,13 @@ def density(graph: BipartiteGraph) -> float:
     return graph.n_edges / (graph.n_red * graph.n_blue)
 
 
-def load_node_list(path, delimiter: str = ",", header: bool = False):
+def load_node_list(path):
     """Read a `node_id,side` file; returns (red_ids, blue_ids) in file order.
 
     Raises InputError at ``path:line`` on a row with an unknown side, an
     empty id, an id declared twice on one side or on both sides.
     """
-    lines, (nodes, sides) = read_columns(path, 2, delimiter, header)
+    lines, (nodes, sides) = read_columns(path, 2)
     sides = list(map(str.lower, sides))
     is_red = np.fromiter(map(RED.__eq__, sides), bool, len(sides))
     is_blue = np.fromiter(map(BLUE.__eq__, sides), bool, len(sides))
@@ -292,12 +292,7 @@ def load_node_list(path, delimiter: str = ",", header: bool = False):
     return red, blue
 
 
-def load_edge_list(
-    path,
-    delimiter: str = ",",
-    header: bool = False,
-    node_list_path=None,
-) -> BipartiteGraph:
+def load_edge_list(path, node_list_path=None) -> BipartiteGraph:
     """Build a graph from a `red_id,blue_id` edge file.
 
     An optional node-list file (`node_id,side`) declares node ordering and
@@ -309,9 +304,9 @@ def load_edge_list(
     red_nodes: list[str] = []
     blue_nodes: list[str] = []
     if node_list_path is not None:
-        red_nodes, blue_nodes = load_node_list(node_list_path, delimiter, header)
+        red_nodes, blue_nodes = load_node_list(node_list_path)
 
-    lines, (red_ids, blue_ids) = read_columns(path, 2, delimiter, header)
+    lines, (red_ids, blue_ids) = read_columns(path, 2)
     if not lines.size and not red_nodes and not blue_nodes:
         raise InputError(f"empty graph: {path} has no edges and no declared nodes")
 
@@ -390,9 +385,7 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    rows = list(read_rows(manifest_path))
-    if rows and rows[0][1][0].lower() == "period":
-        rows = rows[1:]
+    rows = list(read_rows(manifest_path, header=("period",)))
     if not rows:
         raise InputError(f"empty manifest: {manifest_path}")
     periods = []

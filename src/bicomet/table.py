@@ -1,19 +1,22 @@
 """The CSV format of every table bicomet reads or writes.
 
-Files are utf-8 and comma-separated with "\\n" line ends.  ``read_rows``
-skips blank rows, strips every cell and numbers the lines, so each caller
-only applies its own header rule and field checks and reports a bad row as
-``path:line``.  ``read_columns`` applies the same rules to a table of fixed
-width, checks the width of every row and hands its cells on column by
-column; every table but the manifest, whose width varies, is read by it.
-``write_columns`` is its counterpart.
+Files are utf-8 and comma-separated with "\\n" line ends; no reader or
+writer takes another format.  ``read_rows`` skips blank rows and a header,
+strips every cell and numbers the lines, so each caller only applies its
+own field checks and reports a bad row as ``path:line``.  The header is the
+first non-blank row when its first cells are the names the caller gives, in
+any case, whatever its width; edge and node lists give none.
+``read_columns`` applies the same rules to a table of fixed width, checks
+the width of every row and hands its cells on column by column; every table
+but the manifest, whose width varies, is read by it.  ``write_columns`` is
+its counterpart.
 
 Every table moves as one string: a file is read and decoded once, and
 written with one join and one write.  Text that holds no quote and no
-carriage return, read with a one-byte delimiter, is split on "\\n" and the
-delimiter directly, which is what the ``csv`` module would make of it; any
-other text, and so every quoted cell, goes through ``csv.reader``, and a
-table whose cells need quoting through ``csv.writer``.
+carriage return is split on "\\n" and "," directly, which is what the
+``csv`` module would make of it; any other text, and so every quoted cell,
+goes through ``csv.reader``, and a table whose cells need quoting through
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -45,13 +48,7 @@ def _read(path) -> tuple[bytes, str]:
         ) from None
 
 
-def _needs_csv(text: str, delimiter: str) -> bool:
-    """Whether ``text`` holds a quote or a carriage return, which only the
-    ``csv`` module reads right, or ``delimiter`` is not one ASCII byte."""
-    return '"' in text or "\r" in text or not (len(delimiter) == 1 and delimiter.isascii())
-
-
-def _records(path, data: bytes, text: str, delimiter: str):
+def _records(path, data: bytes, text: str):
     """(lines, counts, cells) of the CSV records of ``text``, the utf-8
     ``data`` read from ``path``: the int64 number of the line each record
     starts on, its int64 number of fields, and the raw cells of all records
@@ -59,20 +56,20 @@ def _records(path, data: bytes, text: str, delimiter: str):
 
     Records are numbered by their first physical line, so a quoted cell that
     holds a line break shifts no later number.  Text that needs no ``csv``
-    parsing is split at every "\\n" and delimiter (str.splitlines would also
-    break at characters that csv keeps inside a cell); with every byte but
-    those two deleted, what is left of a line is its delimiters, so the
-    field counts come from the line ends that remain.  No cell is longer
-    than its line, so cells are measured against the field limit only when
-    a line is longer.
+    parsing is split at every "\\n" and "," (str.splitlines would also break
+    at characters that csv keeps inside a cell); with every byte but those
+    two deleted, what is left of a line is its commas, so the field counts
+    come from the line ends that remain.  No cell is longer than its line, so
+    cells are measured against the field limit only when a line is longer.
     """
-    if _needs_csv(text, delimiter):
-        return _csv_records(path, text, delimiter)
-    kept = data.translate(None, bytes(set(range(256)) - {10, ord(delimiter)}))
+    # only the csv module reads a quote or a carriage return right
+    if '"' in text or "\r" in text:
+        return _csv_records(path, text)
+    kept = data.translate(None, bytes(set(range(256)) - set(b"\n,")))
     if text and not text.endswith("\n"):
         kept += b"\n"
     counts = np.diff(np.flatnonzero(np.frombuffer(kept, np.uint8) == 10), prepend=-1)
-    cells = text.replace("\n", delimiter).split(delimiter) if text else []
+    cells = text.replace("\n", ",").split(",") if text else []
     if text.endswith("\n"):
         cells.pop()
     limit = csv.field_size_limit()
@@ -85,9 +82,9 @@ def _records(path, data: bytes, text: str, delimiter: str):
     return np.arange(1, counts.size + 1, dtype=np.int64), counts, cells
 
 
-def _csv_records(path, text: str, delimiter: str):
+def _csv_records(path, text: str):
     """``_records`` of any text, through ``csv.reader``."""
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text, newline=""))
     lines, rows = [], []
     line = 1
     try:
@@ -101,41 +98,46 @@ def _csv_records(path, text: str, delimiter: str):
     return np.array(lines, dtype=np.int64), counts, list(chain.from_iterable(rows))
 
 
-def read_rows(path, delimiter: str = ",", header: bool = False):
+def _drop_header(lines, counts, cells, names):
+    """``_records``' (lines, counts, cells) less the header: the first
+    non-blank record, when its first stripped cells are ``names`` in any case."""
+    start = 0
+    for i, count in enumerate(counts if names else ()):
+        row = [cell.strip().lower() for cell in cells[start : start + count]]
+        if any(row):
+            if row[: len(names)] == [name.lower() for name in names]:
+                del cells[start : start + count]
+                return np.delete(lines, i), np.delete(counts, i), cells
+            break
+        start += count
+    return lines, counts, cells
+
+
+def read_rows(path, header: tuple[str, ...] = ()):
     """Yield (line_number, cells) for non-blank CSV rows, skipping a header.
 
     Cells are stripped; a row is blank when every cell is empty after
-    stripping.  With ``header`` the first line is skipped.
+    stripping.  The header is the first non-blank row when its first cells
+    are the names ``header``, in any case, whatever its width.
     """
-    lines, counts, cells = _records(path, *_read(path), delimiter)
+    lines, counts, cells = _drop_header(*_records(path, *_read(path)), header)
     start = 0
     for lineno, end in zip(lines.tolist(), np.cumsum(counts).tolist()):
         row = [c.strip() for c in cells[start:end]]
         start = end
-        if not any(row):
-            continue
-        if header and lineno == 1:
-            continue
-        yield lineno, row
+        if any(row):
+            yield lineno, row
 
 
-def read_columns(path, width: int, delimiter: str = ",", header: bool | tuple = False):
+def read_columns(path, width: int, header: tuple[str, ...] = ()):
     """The non-blank rows of a table of ``width`` fields, as columns.
 
     Returns (lines, columns): the int64 line number of every kept row and
-    ``width`` lists of its stripped cells.  Blank rows are skipped as by
-    ``read_rows``.  The first line is skipped as a header when ``header`` is
-    True, or when ``header`` is a tuple of strings and the line's first
-    stripped cells are those strings, whatever the line's width.  The first
-    other non-blank row with another number of fields raises InputError at
-    ``path:line``.
+    ``width`` lists of its stripped cells.  Blank rows and the header are
+    skipped as by ``read_rows``.  The first other non-blank row with another
+    number of fields raises InputError at ``path:line``.
     """
-    lines, counts, cells = _records(path, *_read(path), delimiter)
-    if lines.size and header:
-        first = list(map(str.strip, cells[: counts[0]]))
-        if header is True or first[: len(header)] == list(header):
-            del cells[: counts[0]]
-            lines, counts = lines[1:], counts[1:]
+    lines, counts, cells = _drop_header(*_records(path, *_read(path)), header)
     fits = counts == width
     if not fits.all():
         starts = (np.cumsum(counts) - counts).tolist()
@@ -187,8 +189,8 @@ def write_columns(path, header, columns) -> None:
 
     The bytes are those ``write_rows`` writes for the same rows.  The cells
     are joined into one text and written at once; when that text shows a
-    cell that needs quoting (one holding a quote, a line end or the
-    delimiter, or a row of one empty cell), the rows go to ``write_rows``.
+    cell that needs quoting (one holding a quote, a line end or a comma, or
+    a row of one empty cell), the rows go to ``write_rows``.
     """
     width = len(columns)
     body = list(zip(*columns))

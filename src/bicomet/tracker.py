@@ -358,7 +358,7 @@ _VALIDATED = {"true": True, "false": False}
 
 def read_link_table(path) -> list[TemporalLink]:
     """Read a link table; InputError with file:line on a malformed row."""
-    lines, columns = read_columns(path, 7, header=True)
+    lines, columns = read_columns(path, 7, header=("period_t",))
     parsers = (str, int, str, int, int, float, _VALIDATED.__getitem__)
     try:
         fields = [list(map(parse, column)) for parse, column in zip(parsers, columns)]

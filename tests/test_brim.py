@@ -444,6 +444,33 @@ class TestKernelScoreSum:
                 fallbacks += int(np.any(~reached & (args[3] > 0)))
         assert ties > 0 and fallbacks > 0
 
+    @pytest.mark.parametrize("packed_limit", [2**62, 0])
+    def test_fallback_wins_only_a_tie_at_zero(self, monkeypatch, packed_limit):
+        # a node's reached scores sum to d * (m - their masses) >= 0, and an
+        # unreached community scores -d * its mass <= 0
+        monkeypatch.setattr(brim, "_PACKED_SCORES", packed_limit)
+        rng = np.random.default_rng(78)
+        fallbacks = 0
+        for case in range(300):
+            g = graph_with_isolated_nodes(rng)
+            c = int(rng.integers(1, 4 if case % 2 else g.n_red + g.n_blue + 1))
+            part = random_partition(g, c, rng)
+            for side in (RED, BLUE):
+                red_l, blue_l = kernel_step(brim._sparse_best_labels, g, part, side)
+                args, _, _ = kernel_inputs(g, part, side)
+                counts, scores = dense_scores(*args)
+                chosen = np.array(red_l if side == RED else blue_l)
+                nodes = np.flatnonzero(args[3] > 0)
+                reached = counts[nodes] > 0
+                assert (np.where(reached, scores[nodes], 0).sum(axis=1) >= 0).all()
+                best_reached = np.where(reached, scores[nodes], np.iinfo(np.int64).min).max(axis=1)
+                assert (best_reached >= 0).all()
+                fallback = ~reached[np.arange(nodes.size), chosen[nodes]]
+                fallbacks += int(fallback.sum())
+                assert (best_reached[fallback] == 0).all()
+                assert (args[4][chosen[nodes][fallback]] == 0).all()
+        assert fallbacks > 0
+
     def test_best_labels_returns_the_sum_on_both_paths(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -847,6 +874,14 @@ class TestPartitionCsv:
         path = tmp_path / "part.csv"
         path.write_text(" node_id ,side\nr0,red,0\n")
         assert read_partition_csv(path) == Partition(("r0",), (), [0], [], 1)
+
+    @pytest.mark.parametrize(
+        "head", ["Node_ID,side,community\n", "\nnode_id,side,community\n", " , ,\nNODE_ID\n"]
+    )
+    def test_header_in_any_case_after_blank_lines(self, tmp_path, head):
+        path = tmp_path / "part.csv"
+        path.write_text(head + "r0,red,1\n\nb0,blue,0\n")
+        assert read_partition_csv(path) == Partition(("r0",), ("b0",), [1], [0], 2)
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "part.csv"

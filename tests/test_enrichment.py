@@ -129,6 +129,17 @@ class TestCatalogFaults:
             load_attribute_catalog(path)
         assert str(info.value) == f"{path}:{message}"
 
+    @pytest.mark.parametrize(
+        "head", ["NODE_ID,Category,value\n", "\nnode_id,category,value\n", " \n\nNode_Id,CATEGORY\n"]
+    )
+    def test_header_in_any_case_after_blank_lines(self, tmp_path, head):
+        path = tmp_path / "attrs.csv"
+        path.write_text(head + "f1,sector,A\n\nbank0,bank_type,X\n")
+        catalog = load_attribute_catalog(path)
+        assert catalog.assignments("sector") == {"f1": "A"}
+        assert catalog.assignments("bank_type") == {"bank0": "X"}
+        assert len(catalog) == 2
+
 
 class TestThreshold:
     def test_three_category_arithmetic(self):

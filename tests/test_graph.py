@@ -146,12 +146,6 @@ class TestLoading:
         with pytest.raises(InputError, match="both sides"):
             load_edge_list(f)
 
-    def test_header_and_delimiter_options(self, tmp_path):
-        f = tmp_path / "edges.tsv"
-        f.write_text("red\tblue\nb1\tf1\n")
-        g = load_edge_list(f, delimiter="\t", header=True)
-        assert g.n_edges == 1
-
     def test_node_list_declares_isolated(self, tmp_path):
         edges = tmp_path / "edges.csv"
         nodes = tmp_path / "nodes.csv"

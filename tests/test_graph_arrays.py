@@ -206,19 +206,19 @@ def quoted(node, pad=""):
     return '"' + pad + node.replace('"', '""') + pad + '"'
 
 
-def write_noisy_edge_file(path, edges, rng, delimiter, header):
+def write_noisy_edge_file(path, edges, rng):
     """Write ``edges`` with blank lines, padded cells and quoted ids."""
-    lines = ["red\tblue" if delimiter == "\t" else "red,blue"] if header else []
+    lines = []
     for red, blue in edges:
         cells = []
         for node in (red, blue):
-            if delimiter in node or '"' in node or rng.random() < 0.2:
+            if "," in node or '"' in node or rng.random() < 0.2:
                 cells.append(quoted(node, pad=" " * int(rng.integers(0, 3))))
             else:
                 cells.append(" " * int(rng.integers(0, 3)) + node + " " * int(rng.integers(0, 3)))
-        lines.append(delimiter.join(cells))
+        lines.append(",".join(cells))
         if rng.random() < 0.2:
-            lines.append(rng.choice(["", "   ", f" {delimiter} "]))
+            lines.append(rng.choice(["", "   ", " , "]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -226,8 +226,6 @@ class TestLoaderEqualsOracle:
     def test_random_files(self, tmp_path):
         rng = np.random.default_rng(21)
         for case in range(60):
-            delimiter = "\t" if case % 3 == 0 else ","
-            header = case % 2 == 0
             red_pool = [f"r{i}" for i in range(6)] + ["bank, ltd", "r x"]
             blue_pool = [f"f{i}" for i in range(6)] + ['firm "q"', "f;y"]
             m = int(rng.integers(1, 25))
@@ -236,24 +234,22 @@ class TestLoaderEqualsOracle:
                 for i, j in zip(rng.integers(0, 8, m).tolist(), rng.integers(0, 8, m).tolist())
             ]
             edge_file = tmp_path / f"e{case}.csv"
-            write_noisy_edge_file(edge_file, edges, rng, delimiter, header)
+            write_noisy_edge_file(edge_file, edges, rng)
             if case % 4 == 1:
                 red = [red_pool[i] for i in rng.permutation(8)[:5]]
                 blue = [blue_pool[i] for i in rng.permutation(8)[:5]]
                 node_file = tmp_path / f"n{case}.csv"
-                rows = [quoted(n) + delimiter + "red" for n in red]
-                rows += [quoted(n) + delimiter + " BLUE" for n in blue]
+                rows = [quoted(n) + ",red" for n in red]
+                rows += [quoted(n) + ", BLUE" for n in blue]
                 order = rng.permutation(len(rows))
-                head = ["node" + delimiter + "side"] if header else []
-                node_file.write_text("\n".join(head + [rows[i] for i in order]) + "\n")
+                node_file.write_text("\n".join(rows[i] for i in order) + "\n")
                 red = [red[i] for i in order if i < len(red)]
                 blue = [blue[i - len(red)] for i in order if i >= len(red)]
-                graph = load_edge_list(edge_file, delimiter, header, node_list_path=node_file)
+                graph = load_edge_list(edge_file, node_list_path=node_file)
                 assert observed(graph) == oracle(edges, red, blue)
             else:
-                graph = load_edge_list(edge_file, delimiter, header)
+                graph = load_edge_list(edge_file)
                 assert observed(graph) == oracle(edges)
-
 
     def test_node_lists_that_declare_every_id_or_all_but_one(self, tmp_path):
         # ids are looked up among the declared ones alone when those hold

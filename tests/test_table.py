@@ -28,9 +28,9 @@ class TestReadRows:
         assert list(read_rows(path)) == [(1, ["a", "b"]), (4, ["c", "d"])]
 
     def test_header_skips_first_line_only(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("a\tb\nc\td\n")
-        assert list(read_rows(path, delimiter="\t", header=True)) == [(2, ["c", "d"])]
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\nc,d\na,b\n")
+        assert list(read_rows(path, header=("a",))) == [(2, ["c", "d"]), (3, ["a", "b"])]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -63,7 +63,7 @@ class TestPhysicalLineNumbers:
     def test_read_columns_lines_after_a_multiline_cell(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('h1,h2\n\na,"x\ny"\n\nc,d\n')
-        lines, columns = read_columns(path, 2, header=True)
+        lines, columns = read_columns(path, 2, header=("h1",))
         assert lines.tolist() == [3, 6]
         assert columns == [["a", "c"], ["x\ny", "d"]]
 
@@ -77,22 +77,29 @@ class TestPhysicalLineNumbers:
                 for _ in range(rng.integers(0, 8))
             ]
             path.write_text("\n".join(rows) + ("\n" if rng.random() < 0.5 else ""))
-            header = bool(rng.random() < 0.5)
+            header = [(), ("a",), ("A", "B")][rng.integers(3)]
             expected = list(read_rows(path, header=header))
             lines, columns = read_columns(path, 2, header=header)
             assert lines.tolist() == [line for line, _ in expected]
             assert columns == [[row[k] for _, row in expected] for k in range(2)]
 
 
-def csv_records(path, header):
-    """(line, raw cells) of every record as csv.reader reads the file."""
+def csv_records(path, header=()):
+    """(line, raw cells) of every record as csv.reader reads the file, less
+    the first non-blank record when its first stripped cells are the names
+    ``header`` in any case."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         records, line = [], 1
         for row in reader:
             records.append((line, row))
             line = reader.line_num + 1
-    return records[1:] if header else records
+    first = next((i for i, (_, row) in enumerate(records) if any(c.strip() for c in row)), None)
+    if header and first is not None:
+        leading = [c.strip().lower() for c in records[first][1][: len(header)]]
+        if leading == [name.lower() for name in header]:
+            del records[first]
+    return records
 
 
 def csv_columns(path, width, header):
@@ -119,12 +126,34 @@ def csv_text(header, rows):
     return buffer.getvalue()
 
 
+def random_header(rng):
+    """No header names, or one or two of them."""
+    return [(), ("id",), ("node_id", "side"), ("a",)][rng.integers(4)]
+
+
+def with_header_line(rng, lines, header, pad=lambda: ""):
+    """``lines`` and, most times when ``header`` names cells, one more line:
+    those names in mixed case, padded, at times with further cells, or at
+    times only some of them or out of order.  It goes first, after up to two
+    blank lines, or among the rows."""
+    if not header or rng.random() < 0.3:
+        return lines
+    names = [pad() + (name.upper() if rng.random() < 0.5 else name) + pad() for name in header]
+    line = ",".join(names + ["x"] * int(rng.integers(0, 3)))
+    if rng.random() < 0.3:
+        # names only in part, or in another order
+        line = ",".join(names[::-1] + ["id"]) if rng.random() < 0.5 else names[0][:-1] + ",b"
+    at = [0, 0, int(rng.integers(0, len(lines) + 1))][rng.integers(3)]
+    blanks = ["", " ", ","][: int(rng.integers(0, 3))] if at == 0 else []
+    return blanks + lines[:at] + [line] + lines[at:]
+
+
 class TestPlainTextOracle:
     # ids holding characters str.splitlines breaks at and csv keeps in a cell
     CELLS = ["a", "b1", " c ", "", " ", "\t", "d\x0ce", "f g", "h\x1ci",
              "j\x85k", "l\x0bm", "\x0c", "日本", "n o", "p\x1dq\x1e"]
 
-    def random_text(self, rng, width):
+    def random_text(self, rng, width, header):
         uniform = rng.random() < 0.5  # every line of ``width`` fields
         lines = []
         for _ in range(rng.integers(0, 9)):
@@ -133,15 +162,17 @@ class TestPlainTextOracle:
                 continue
             fields = width if uniform or rng.random() < 0.8 else int(rng.integers(1, 4))
             lines.append(",".join(rng.choice(self.CELLS, size=fields)))
-        return "\n".join(lines) + ("\n" if lines and rng.random() < 0.7 else "")
+        return "\n".join(with_header_line(rng, lines, header)) + (
+            "\n" if lines and rng.random() < 0.7 else ""
+        )
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_read_columns_and_read_rows_equal_the_csv_module(self, tmp_path, width):
         rng = np.random.default_rng(width)
         path = tmp_path / "t.csv"
         for _ in range(400):
-            path.write_text(self.random_text(rng, width), encoding="utf-8", newline="")
-            header = bool(rng.random() < 0.3)
+            header = random_header(rng)
+            path.write_text(self.random_text(rng, width, header), encoding="utf-8", newline="")
             expected = csv_columns(path, width, header)
             if isinstance(expected, int):
                 with pytest.raises(InputError, match=rf"t\.csv:{expected}: expected {width}"):
@@ -151,8 +182,8 @@ class TestPlainTextOracle:
                 assert (lines.tolist(), columns) == expected
             rows = [
                 (line, [c.strip() for c in row])
-                for line, row in csv_records(path, False)
-                if any(c.strip() for c in row) and not (header and line == 1)
+                for line, row in csv_records(path, header)
+                if any(c.strip() for c in row)
             ]
             assert list(read_rows(path, header=header)) == rows
 
@@ -164,27 +195,21 @@ class TestPlainTextOracle:
         assert columns == [["r\x0c1", "r\x1c2"], ["b 1", "b\x852"]]
 
     def test_tab_delimited_plain_text(self, tmp_path):
+        # the one delimiter is the comma: a tab is part of its cell
         path = tmp_path / "t.tsv"
         path.write_text("h1\th2\na\t b\nc\td\n")
-        lines, columns = read_columns(path, 2, delimiter="\t", header=True)
+        lines, columns = read_columns(path, 1, header=("H1\tH2",))
         assert lines.tolist() == [2, 3]
-        assert columns == [["a", "c"], ["b", "d"]]
-
-    def test_multibyte_delimiter_reads_as_the_csv_module(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a§b\nc\xe7§d\ne§f§g\n", encoding="utf-8")
-        assert list(read_rows(path, delimiter="§")) == [
-            (1, ["a", "b"]), (2, ["c\xe7", "d"]), (3, ["e", "f", "g"])
-        ]
-        with pytest.raises(InputError, match=r"t\.csv:3: expected 2 fields, got 3"):
-            read_columns(path, 2, delimiter="§")
+        assert columns == [["a\t b", "c\td"]]
+        with pytest.raises(InputError, match=r"t\.tsv:1: expected 2 fields, got 1"):
+            read_columns(path, 2)
 
 
 class TestPaddedCellsOracle:
     # cells padded with characters str.strip removes, ASCII and not
     PADS = ["", " ", "\t", "\xa0", "\u2003", " \t", "\x1f"]
 
-    def random_text(self, rng, width, pads):
+    def random_text(self, rng, width, pads, header):
         lines = []
         for _ in range(rng.integers(0, 8)):
             cells = [
@@ -192,6 +217,7 @@ class TestPaddedCellsOracle:
                 for _ in range(width)
             ]
             lines.append(",".join(cells))
+        lines = with_header_line(rng, lines, header, pad=lambda: rng.choice(pads))
         return "\n".join(lines) + ("\n" if lines and rng.random() < 0.7 else "")
 
     @pytest.mark.parametrize("width", [1, 2, 3])
@@ -202,15 +228,21 @@ class TestPaddedCellsOracle:
             # a third of the texts is ASCII with no padding at all, where
             # the cells need no strip
             pads = [""] if case % 3 == 0 else self.PADS[: 2 + case % 6]
-            path.write_text(self.random_text(rng, width, pads), encoding="utf-8", newline="")
-            header = bool(rng.random() < 0.3)
+            header = random_header(rng)
+            path.write_text(
+                self.random_text(rng, width, pads, header), encoding="utf-8", newline=""
+            )
             expected = csv_columns(path, width, header)
-            lines, columns = read_columns(path, width, header=header)
-            assert (lines.tolist(), columns) == expected
+            if isinstance(expected, int):
+                with pytest.raises(InputError, match=rf"t\.csv:{expected}: expected {width}"):
+                    read_columns(path, width, header=header)
+            else:
+                lines, columns = read_columns(path, width, header=header)
+                assert (lines.tolist(), columns) == expected
             rows = [
                 (line, [c.strip() for c in row])
-                for line, row in csv_records(path, False)
-                if any(c.strip() for c in row) and not (header and line == 1)
+                for line, row in csv_records(path, header)
+                if any(c.strip() for c in row)
             ]
             assert list(read_rows(path, header=header)) == rows
 
@@ -242,7 +274,7 @@ class TestWriteColumns:
         path = tmp_path / "t.csv"
         write_columns(path, ["x", "y"], [["a", "b"], ["1", "2"]])
         assert path.read_bytes() == b"x,y\na,1\nb,2\n"
-        lines, columns = read_columns(path, 2, header=True)
+        lines, columns = read_columns(path, 2, header=("x", "y"))
         assert lines.tolist() == [2, 3]
         assert columns == [["a", "b"], ["1", "2"]]
 
@@ -285,7 +317,7 @@ class TestReadFaults:
         half = "x" * (limit // 2 + 1)
         path.write_text(f"a,b\n{half},{half}\nc,d\n")
         lines, columns = read_columns(path, 2)
-        assert (lines.tolist(), columns) == csv_columns(path, 2, False)
+        assert (lines.tolist(), columns) == csv_columns(path, 2, ())
         assert columns == [["a", half, "c"], ["b", half, "d"]]
         path.write_text(",".join(["ab"] * (limit // 2)) + "\n")
         assert list(read_rows(path)) == [(1, ["ab"] * (limit // 2))]

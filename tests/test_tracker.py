@@ -330,6 +330,7 @@ class TestExport:
 
 
 BAD_INT = "invalid literal for int() with base 10:"
+LINK_HEADER = "period_t,comm_i,period_t1,comm_j,overlap,p_value,validated\n"
 
 
 class TestLinkTable:
@@ -371,10 +372,10 @@ class TestLinkTable:
         "text, message",
         [
             # a row of the wrong width is reported before any earlier fault
-            ("h\np00,x,p01,0,3,0.5,false\np00,0,p01\n", "3: expected 7 fields, got 3"),
+            (LINK_HEADER + "p00,x,p01,0,3,0.5,false\np00,0,p01\n", "3: expected 7 fields, got 3"),
             # then the earliest faulty row, and in it the first bad cell
-            ("h\np00,0,p01,0,3,0.5,no\np00,x,p01,0,3,0.5,false\n", "2: bad value: 'no'"),
-            ("h\np00,0,p01,x,3,y,no\n", f"2: bad value: {BAD_INT} 'x'"),
+            (LINK_HEADER + "p00,0,p01,0,3,0.5,no\np00,x,p01,0,3,0.5,false\n", "2: bad value: 'no'"),
+            (LINK_HEADER + "p00,0,p01,x,3,y,no\n", f"2: bad value: {BAD_INT} 'x'"),
         ],
     )
     def test_first_fault_is_reported(self, tmp_path, text, message):
@@ -383,6 +384,21 @@ class TestLinkTable:
         with pytest.raises(InputError) as info:
             read_link_table(path)
         assert str(info.value) == f"{path}:{message}"
+
+    def test_headerless_table_reads_every_row(self, tmp_path):
+        path = tmp_path / "links.csv"
+        path.write_text("p00,0,p01,1,2,0.25,true\np00,1,p01,0,0,1.0,false\n")
+        back = read_link_table(path)
+        assert [(link.community_from, link.community_to) for link in back] == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("lead", ["", "\n", " , \n"])
+    def test_header_in_any_case_after_blank_lines(self, tmp_path, lead):
+        seq = persistence_sequence(periods=2, communities=2, size=5)
+        links, _ = track_sequence(seq)
+        path = tmp_path / "links.csv"
+        write_link_table(links, path)
+        path.write_text(lead + path.read_text().replace("period_t,", "Period_T,", 1))
+        assert read_link_table(path) == links
 
 
 class TestNullCalibration:
