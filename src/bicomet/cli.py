@@ -52,34 +52,50 @@ class PipelineConfig:
     population_scope: str = enrichment.SCOPE_CARRIERS
 
     def parsed_schedule(self):
-        if not self.module_count_schedule.strip():
-            return None
-        try:
-            return [int(tok) for tok in self.module_count_schedule.split(",") if tok.strip()]
-        except ValueError:
-            raise InputError(
-                f"bad module_count_schedule {self.module_count_schedule!r}"
-            ) from None
+        counts = _entries(
+            "module_count_schedule", self.module_count_schedule, "count >= 1", _count
+        )
+        return [count for (count,) in counts] or None
 
     def parsed_roots(self):
-        text = self.roots.strip()
-        if not text:
-            return None
-        roots = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            period, _, community = token.partition(":")
-            if not community:
-                raise InputError(f"bad root {token!r}, expected period:community")
-            try:
-                roots.append((period.strip(), int(community)))
-            except ValueError:
-                raise InputError(f"bad root community in {token!r}") from None
-        if not roots:
-            raise InputError(f"no roots parsed from {text!r}")
-        return roots
+        return _entries("roots", self.roots, "period:community", str, int) or None
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"count {count} < 1")
+    return count
+
+
+def _entries(key, text, form, *types, sep=",", field_sep=":", optional=0, build=None):
+    """The entries of the list-valued config value ``text`` of ``key``.
+
+    Entries are separated by ``sep`` (blank ones are skipped) and the fields
+    of an entry by ``field_sep``.  ``types`` convert the fields, of which the
+    last ``optional`` may be left out.  An entry is the tuple of its
+    converted fields, or ``build`` called on them.  A malformed entry, or a
+    value that is not blank but has no entries, raises InputError naming
+    ``key``, the entry and its ``form``.
+    """
+    entries = []
+    for entry in text.split(sep):
+        entry = entry.strip()
+        if not entry:
+            continue
+        cells = [cell.strip() for cell in entry.split(field_sep)]
+        try:
+            if not len(types) - optional <= len(cells) <= len(types):
+                raise ValueError(f"{len(cells)} fields")
+            values = tuple(convert(cell) for convert, cell in zip(types, cells))
+            entries.append(build(*values) if build else values)
+        except InputError as exc:
+            raise InputError(f"bad {key} entry {entry!r}: {exc}") from None
+        except ValueError:
+            raise InputError(f"bad {key} entry {entry!r}, expected {form}") from None
+    if text.strip() and not entries:
+        raise InputError(f"bad {key} {text!r}: no entries, expected {form}")
+    return entries
 
 
 def _load_config(path, section: str, cls):
@@ -87,9 +103,11 @@ def _load_config(path, section: str, cls):
     if path:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise InputError(f"malformed config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config file {path} is not utf-8: {exc}") from None
         if not read:
             raise InputError(f"cannot read config file {path}")
         if parser.has_section(section):
@@ -102,53 +120,46 @@ def _load_config(path, section: str, cls):
         )
     cfg = cls()
     for key, raw in values.items():
-        current = getattr(cfg, key)
+        # every field is a str, an int or a float, as its default shows
         try:
-            if isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
+            setattr(cfg, key, type(getattr(cfg, key))(raw))
         except ValueError:
             raise InputError(f"bad value for {key!r} in [{section}]: {raw!r}") from None
-        setattr(cfg, key, value)
     return cfg
 
 
-def _apply_overrides(cfg, args, mapping):
-    for attr, flag in mapping.items():
-        value = getattr(args, flag, None)
+def _apply_overrides(cfg, args):
+    """Set every config field whose flag was given: the flag's dest names it."""
+    for f in fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
 def _resolve_pipeline_config(args) -> PipelineConfig:
-    cfg = _load_config(args.config, "pipeline", PipelineConfig)
-    _apply_overrides(
-        cfg,
-        args,
-        {
-            "manifest": "manifest",
-            "output_dir": "output_dir",
-            "runs": "runs",
-            "restarts_per_run": "restarts",
-            "module_count_schedule": "module_counts",
-            "p_t": "p_t",
-            "population_rule": "population_rule",
-            "direction_filter": "direction_filter",
-            "roots": "roots",
-            "master_seed": "seed",
-            "workers": "workers",
-            "attributes": "attributes",
-            "population_scope": "population_scope",
-        },
-    )
-    if cfg.runs < 1 or cfg.restarts_per_run < 1:
-        raise InputError("runs and restarts_per_run must be >= 1")
-    if cfg.workers < 1:
-        raise InputError("workers must be >= 1")
+    """The [pipeline] config with its flags applied and every value checked,
+    so that no command fails on a config value after it has started writing."""
+    cfg = _apply_overrides(_load_config(args.config, "pipeline", PipelineConfig), args)
+    for key, low in (("runs", 1), ("restarts_per_run", 1), ("workers", 1), ("master_seed", 0)):
+        value = getattr(cfg, key)
+        if value < low:
+            raise InputError(f"{key} must be >= {low}, got {value}")
+    cfg.parsed_schedule()
+    cfg.parsed_roots()
+    # one key at a time, so that the message names the key at fault; the
+    # commands build these configs from the same keys
+    for key, check in (
+        ("p_t", lambda p: tracker.TrackerConfig(p_univariate=p)),
+        ("population_rule", lambda rule: tracker.TrackerConfig(population_rule=rule)),
+        ("direction_filter", lambda d: tracker.TrackerConfig(direction_filter=d)),
+        ("population_scope", lambda s: enrichment.EnrichmentConfig(population_scope=s)),
+    ):
+        value = getattr(cfg, key)
+        try:
+            check(value)
+        except InputError as exc:
+            raise InputError(f"bad {key} {value!r}: {exc}") from None
     return cfg
 
 
@@ -355,10 +366,11 @@ def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
         direction_filter=cfg.direction_filter,
     )
     links, threshold = tracker.track_sequence(sequence, config)
-    tracker.write_link_table(links, out / "links.csv")
+    # the graph checks that every root was detected before anything is written
     graph = tracker.build_evolution_graph(
         sequence, config, roots=cfg.parsed_roots(), tracked=(links, threshold)
     )
+    tracker.write_link_table(links, out / "links.csv")
     (out / "evolution.dot").write_text(
         tracker.export_evolution(graph, "dot"), encoding="utf-8"
     )
@@ -427,109 +439,27 @@ class SynthConfig:
     plants: str = ""
 
 
-def _parse_communities(text: str):
-    sizes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        red, _, blue = token.partition("x")
-        try:
-            sizes.append((int(red), int(blue)))
-        except ValueError:
-            raise InputError(f"bad community size {token!r}, expected REDxBLUE") from None
-    if not sizes:
-        raise InputError(f"no community sizes parsed from {text!r}")
-    return tuple(sizes)
-
-
-def _parse_events(splits: str, merges: str):
-    events = []
-    for token in splits.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) not in (2, 3):
-            raise InputError(f"bad split {token!r}, expected period:community[:fraction]")
-        period, community = int(parts[0]), int(parts[1])
-        fraction = float(parts[2]) if len(parts) == 3 else 0.5
-        events.append(synth.SplitEvent(period=period, community=community, fraction=fraction))
-    for token in merges.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise InputError(f"bad merge {token!r}, expected period:source:target")
-        events.append(
-            synth.MergeEvent(period=int(parts[0]), source=int(parts[1]), target=int(parts[2]))
-        )
-    return tuple(events)
-
-
-def _parse_categories(text: str):
-    plans = []
-    for token in text.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise InputError(f"bad category {token!r}, expected name:side:v1|v2|...")
-        name, side, pool = parts
-        values = tuple(v.strip() for v in pool.split("|") if v.strip())
-        plans.append(synth.CategoryPlan(name=name.strip(), side=side.strip(), values=values))
-    return tuple(plans)
-
-
-def _parse_plants(text: str):
-    plants = []
-    for token in text.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) != 4:
-            raise InputError(
-                f"bad plant {token!r}, expected category:value:community:penetration"
-            )
-        plants.append(
-            synth.AttributePlant(
-                category=parts[0].strip(),
-                value=parts[1].strip(),
-                community=int(parts[2]),
-                penetration=float(parts[3]),
-            )
-        )
-    return tuple(plants)
-
-
 def cmd_synth(args) -> Path:
     """Generate a synthetic dataset (graphs, truth, lineage, attributes)."""
-    cfg = _load_config(args.config, "synth", SynthConfig)
-    _apply_overrides(
-        cfg,
-        args,
-        {"output_dir": "output_dir", "seed": "seed", "periods": "periods"},
-    )
-    model = synth.PlantedModel(
-        communities=_parse_communities(cfg.communities),
-        p_in=cfg.p_in,
-        p_out=cfg.p_out,
-        seed=cfg.seed,
-    )
-    plants = _parse_plants(cfg.plants)
-    script = synth.TemporalScript(
-        periods=cfg.periods,
-        churn=cfg.churn,
-        events=_parse_events(cfg.splits, cfg.merges),
-        plants=plants,
-    )
+    cfg = _apply_overrides(_load_config(args.config, "synth", SynthConfig), args)
+    if cfg.seed < 0:
+        raise InputError(f"seed must be >= 0, got {cfg.seed}")
+    communities = _entries("communities", cfg.communities, "REDxBLUE", int, int, field_sep="x")
+    model = synth.PlantedModel(communities, cfg.p_in, cfg.p_out, seed=cfg.seed)
+    plants = _entries("plants", cfg.plants, "category:value:community:penetration",
+                      str, str, int, float, sep=";", build=synth.AttributePlant)
+    splits = _entries("splits", cfg.splits, "period:community[:fraction]",
+                      int, int, float, sep=";", optional=1, build=synth.SplitEvent)
+    merges = _entries("merges", cfg.merges, "period:source:target",
+                      int, int, int, sep=";", build=synth.MergeEvent)
+    plans = _entries("categories", cfg.categories, "name:side:v1|v2|...",
+                     str, str, _category_values, sep=";", build=synth.CategoryPlan)
+    script = synth.TemporalScript(cfg.periods, cfg.churn, tuple(splits + merges), tuple(plants))
     series, truths, lineage = synth.generate_sequence(model, script)
-    plans = _parse_categories(cfg.categories)
     catalog = None
-    if plans:
+    # generate_catalog rejects a plant whose category is not planned, so it
+    # runs for plants even when there are no categories
+    if plans or plants:
         catalog = synth.generate_catalog(truths[0], plans, seed=cfg.seed, plants=plants)
     manifest = synth.write_synthetic_dataset(
         cfg.output_dir, series, truths, lineage, catalog=catalog
@@ -538,8 +468,15 @@ def cmd_synth(args) -> Path:
     return manifest
 
 
+def _category_values(pool: str) -> tuple[str, ...]:
+    return tuple(value for (value,) in _entries("categories", pool, "v1|v2|...", str, sep="|"))
+
+
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """detect -> ari -> track -> enrich, as configured."""
+    # enrich reads the catalog last; a path that names no file fails before detect
+    if cfg.attributes and not os.path.isfile(cfg.attributes):
+        raise InputError(f"bad attributes {cfg.attributes!r}: no such file")
     runs, sequence = cmd_detect(cfg)
     if cfg.runs >= 2:
         cmd_ari(cfg, runs)
@@ -559,21 +496,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # every flag's dest is the name of the config field it overrides
+    def add_common(p, seed="master_seed"):
         p.add_argument("--config", default="", help="INI config file")
         p.add_argument("--output-dir", dest="output_dir", help="output directory")
-        p.add_argument("--seed", type=int, dest="seed", help="master seed")
+        p.add_argument("--seed", type=int, dest=seed, help="master seed")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
+    add_common(p, seed="seed")
     p.add_argument("--periods", type=int, help="number of periods")
 
     p = sub.add_parser("detect", help="detect communities per period")
     add_common(p)
     p.add_argument("--manifest", help="period manifest CSV")
     p.add_argument("--runs", type=int, help="independent runs per period")
-    p.add_argument("--restarts", type=int, help="restarts per run")
-    p.add_argument("--module-counts", dest="module_counts", help="initial community counts")
+    p.add_argument("--restarts", type=int, dest="restarts_per_run", help="restarts per run")
+    p.add_argument("--module-counts", dest="module_count_schedule",
+                   help="initial community counts")
     p.add_argument("--workers", type=int, help="parallel workers for runs")
 
     p = sub.add_parser("ari", help="pairwise run agreement per period")
@@ -599,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--manifest", help="period manifest CSV")
     p.add_argument("--runs", type=int, help="independent runs per period")
-    p.add_argument("--restarts", type=int, help="restarts per run")
+    p.add_argument("--restarts", type=int, dest="restarts_per_run", help="restarts per run")
     p.add_argument("--workers", type=int, help="parallel workers for runs")
     p.add_argument("--attributes", help="attribute catalog CSV")
     p.add_argument("--roots", help="root communities")

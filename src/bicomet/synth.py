@@ -187,17 +187,6 @@ def _planted_memberships(model) -> tuple[np.ndarray, np.ndarray]:
     return red.astype(np.int64), blue.astype(np.int64)
 
 
-def generate_graph(model: PlantedModel) -> tuple[BipartiteGraph, Partition]:
-    """One graph drawn from the planted model, plus its true partition."""
-    red_m, blue_m = _planted_memberships(model)
-    rng = generator(model.seed, STREAM_SYNTH_EDGES, 0)
-    graph = _draw_edges(model, red_m, blue_m, rng)
-    truth = Partition(
-        graph.red_nodes, graph.blue_nodes, red_m, blue_m, len(model.communities)
-    )
-    return graph, truth
-
-
 def _period_labels(periods: int) -> list[str]:
     width = max(2, len(str(periods - 1)))
     return [f"p{t:0{width}d}" for t in range(periods)]
@@ -331,6 +320,13 @@ def generate_sequence(
         prev_dense, prev_label = dense, label
 
     return PeriodGraphSeries(tuple(periods)), tuple(truths), tuple(lineage)
+
+
+def generate_graph(model: PlantedModel) -> tuple[BipartiteGraph, Partition]:
+    """One graph drawn from the planted model, plus its true partition: period
+    0 of a one-period sequence."""
+    series, truths, _ = generate_sequence(model, TemporalScript(periods=1))
+    return series[0][1], truths[0]
 
 
 def generate_catalog(

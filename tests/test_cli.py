@@ -268,6 +268,14 @@ class TestTrackCommand:
         payload = json.loads((tmp_path / "out" / "evolution.json").read_text())
         assert all(n["period"].startswith("p") for n in payload["nodes"])
 
+    def test_undetected_root_fails_before_any_write(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        before = tree_bytes(tmp_path / "out")
+        assert main(["track", "--config", str(config), "--roots", "p01:99"]) == 1
+        assert "root community 99 not present in period 'p01'" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "out") == before
+
     def test_links_are_tested_once(self, workspace, monkeypatch):
         import bicomet.tracker as tracker_mod
 
@@ -664,3 +672,119 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "not_a_dir" in err
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A small synthetic dataset, with a catalog, for configs that point at it."""
+    root = tmp_path_factory.mktemp("dataset")
+    config = root / "synth.ini"
+    config.write_text(
+        f"[synth]\noutput_dir = {root / 'data'}\nseed = 3\nperiods = 3\n"
+        "communities = 4x8,4x8\ncategories = sector:blue:AA|BB\n"
+    )
+    assert main(["synth", "--config", str(config)]) == 0
+    return root / "data"
+
+
+def write_section(tmp_path, dataset, command, **values):
+    """config.ini with one valid section for ``command``, updated by ``values``."""
+    if command == "synth":
+        section = {"output_dir": "ds", "periods": "3", "communities": "4x8,4x8"}
+    else:
+        section = {
+            "manifest": dataset / "manifest.csv",
+            "output_dir": "out",
+            "runs": "2",
+            "restarts_per_run": "1",
+            "attributes": dataset / "attributes.csv",
+        }
+    section.update(values)
+    path = tmp_path / "config.ini"
+    name = "synth" if command == "synth" else "pipeline"
+    path.write_text(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))
+    return path
+
+
+class TestMalformedConfig:
+    """A malformed value exits 1 when the config is loaded, with a message
+    naming its key and entry, before any file is written."""
+
+    def assert_rejected(self, tmp_path, capsys, argv, *named):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for text in named:
+            assert text in err
+        # no output_dir, no .partitions.tmp and no dataset directory
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
+    @pytest.mark.parametrize("command", ["synth", "detect", "pipeline"])
+    def test_the_valid_sections_write(self, tmp_path, monkeypatch, dataset, command):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(tmp_path, dataset, command)
+        assert main([command, "--config", str(config)]) == 0
+        assert (tmp_path / ("ds" if command == "synth" else "out")).is_dir()
+
+    @pytest.mark.parametrize(
+        "command, key, value, entry",
+        [
+            ("detect", "module_count_schedule", "0", "'0'"),
+            ("detect", "module_count_schedule", "3,-1", "'-1'"),
+            ("detect", "module_count_schedule", "4,x", "'x'"),
+            ("pipeline", "module_count_schedule", "4,x", "'x'"),
+            ("pipeline", "roots", "p00", "'p00'"),
+            ("pipeline", "roots", "p00:x", "'p00:x'"),
+            ("pipeline", "master_seed", "-1", "-1"),
+            ("pipeline", "p_t", "2", "2.0"),
+            ("pipeline", "population_rule", "x", "'x'"),
+            ("pipeline", "direction_filter", "x", "'x'"),
+            ("pipeline", "population_scope", "x", "'x'"),
+            ("pipeline", "attributes", "missing.csv", "'missing.csv'"),
+            ("synth", "splits", "x:1", "'x:1'"),
+            ("synth", "merges", "a:1:2", "'a:1:2'"),
+            ("synth", "plants", "a:b:c:0.5", "'a:b:c:0.5'"),
+            ("synth", "plants", "a:b:0:zz", "'a:b:0:zz'"),
+            ("synth", "communities", "5x", "'5x'"),
+            ("synth", "seed", "-1", "-1"),
+        ],
+    )
+    def test_value(
+        self, tmp_path, monkeypatch, capsys, dataset, command, key, value, entry
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(tmp_path, dataset, command, **{key: value})
+        self.assert_rejected(tmp_path, capsys, [command, "--config", str(config)], key, entry)
+
+    @pytest.mark.parametrize(
+        "command, flag, value, key, entry",
+        [
+            ("detect", "--module-counts", "0", "module_count_schedule", "'0'"),
+            ("detect", "--restarts", "0", "restarts_per_run", "0"),
+            ("detect", "--seed", "-1", "master_seed", "-1"),
+            ("pipeline", "--roots", "p00", "roots", "'p00'"),
+            ("track", "--p-t", "2", "p_t", "2.0"),
+            ("synth", "--seed", "-1", "seed", "-1"),
+            ("synth", "--periods", "0", "periods", "0"),
+        ],
+    )
+    def test_flag_overrides_its_key(
+        self, tmp_path, monkeypatch, capsys, dataset, command, flag, value, key, entry
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(tmp_path, dataset, command)
+        argv = [command, "--config", str(config), flag, value]
+        self.assert_rejected(tmp_path, capsys, argv, key, entry)
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.ini"
+        config.write_bytes(b"[pipeline]\nmanifest = m\xff.csv\n")
+        argv = ["detect", "--config", str(config)]
+        self.assert_rejected(tmp_path, capsys, argv, str(config), "not utf-8")
+
+    def test_plant_without_categories(self, tmp_path, monkeypatch, capsys, dataset):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(tmp_path, dataset, "synth", plants="sector:SX:0:0.5")
+        argv = ["synth", "--config", str(config)]
+        self.assert_rejected(tmp_path, capsys, argv, "unknown category 'sector'")
