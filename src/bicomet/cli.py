@@ -249,10 +249,7 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
         lambda path: table.write_rows(
             path,
             ["period", "mean_communities", "std_communities", "best_communities"],
-            (
-                [period, repr(mean), repr(std), best_count]
-                for period, mean, std, best_count in count_rows
-            ),
+            count_rows,
         ),
     )
     # downstream commands read the summary, so it is written last
@@ -341,11 +338,7 @@ def cmd_ari(cfg: PipelineConfig, runs=None) -> list[tuple]:
         mean, std, pairs = metrics.all_pairs_ari(partitions)
         rows.append((period, mean, std, pairs))
         logger.info("ari %s: mean ARI=%.6f over %d pairs", period, mean, pairs)
-    table.write_rows(
-        out / "ari.csv",
-        ["period", "mean_ari", "std_ari", "pairs"],
-        ([period, repr(mean), repr(std), pairs] for period, mean, std, pairs in rows),
-    )
+    table.write_rows(out / "ari.csv", ["period", "mean_ari", "std_ari", "pairs"], rows)
     return rows
 
 
@@ -455,11 +448,12 @@ def cmd_synth(args) -> Path:
     plans = _entries("categories", cfg.categories, "name:side:v1|v2|...",
                      str, str, _category_values, sep=";", build=synth.CategoryPlan)
     script = synth.TemporalScript(cfg.periods, cfg.churn, tuple(splits + merges), tuple(plants))
+    # period 0 holds every planted community, so the plants are checked
+    # before the edges of any period are drawn
+    synth.check_plants(plants, plans, len(model.communities))
     series, truths, lineage = synth.generate_sequence(model, script)
     catalog = None
-    # generate_catalog rejects a plant whose category is not planned, so it
-    # runs for plants even when there are no categories
-    if plans or plants:
+    if plans:
         catalog = synth.generate_catalog(truths[0], plans, seed=cfg.seed, plants=plants)
     manifest = synth.write_synthetic_dataset(
         cfg.output_dir, series, truths, lineage, catalog=catalog
@@ -478,6 +472,10 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     if cfg.attributes and not os.path.isfile(cfg.attributes):
         raise InputError(f"bad attributes {cfg.attributes!r}: no such file")
     runs, sequence = cmd_detect(cfg)
+    roots = cfg.parsed_roots()
+    if roots and len(sequence) >= 2:
+        # track would reject an undetected root; ari must not write before it
+        tracker.check_roots(sequence, roots)
     if cfg.runs >= 2:
         cmd_ari(cfg, runs)
     if len(sequence) >= 2:

@@ -12,7 +12,7 @@ communities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class EnrichmentConfig:
             raise InputError(f"unknown population scope {self.population_scope!r}")
 
 
-@dataclass(frozen=True)
-class EnrichmentRecord:
+class EnrichmentRecord(NamedTuple):
     """One tested (community, category, value) hypothesis."""
 
     community: int
@@ -237,35 +236,11 @@ def community_report(
 
 
 def write_enrichment_records(records: Sequence[EnrichmentRecord], path) -> None:
+    """CSV of every tested record, in field order but with the period first."""
     write_rows(
         path,
-        [
-            "period",
-            "community",
-            "category",
-            "value",
-            "count_in_community",
-            "community_population",
-            "global_count",
-            "global_population",
-            "p_value",
-            "validated",
-        ],
-        (
-            [
-                r.period,
-                r.community,
-                r.category,
-                r.value,
-                r.count_in_community,
-                r.community_population,
-                r.global_count,
-                r.global_population,
-                repr(r.p_value),
-                str(r.validated).lower(),
-            ]
-            for r in records
-        ),
+        ["period", "community", *EnrichmentRecord._fields[2:]],
+        ((r.period, r.community, *r[2:]) for r in records),
     )
 
 

@@ -157,16 +157,16 @@ def rank_by_id(nodes) -> np.ndarray:
 
 
 def _first_bad_node(nodes, side):
-    """(position, message) of the first empty or repeated id among one side's
+    """The message for the first empty or repeated id among one side's
     declared ``nodes``, or None when there is none."""
     if "" not in nodes and len(set(nodes)) == len(nodes):
         return None
     seen = set()
-    for i, node in enumerate(nodes):
+    for node in nodes:
         if not node:
-            return i, "empty node identifier"
+            return "empty node identifier"
         if node in seen:
-            return i, f"node {node!r} declared twice on side {side}"
+            return f"node {node!r} declared twice on side {side}"
         seen.add(node)
 
 
@@ -174,7 +174,7 @@ def _check_nodes(red_nodes, blue_nodes) -> None:
     for nodes, side in ((red_nodes, RED), (blue_nodes, BLUE)):
         bad = _first_bad_node(nodes, side)
         if bad:
-            raise InputError(bad[1])
+            raise InputError(bad)
     both = set(red_nodes).intersection(blue_nodes)
     if both:
         raise InputError(f"identifier(s) on both sides: {sorted(both)[:5]}")
@@ -270,25 +270,23 @@ def load_node_list(path):
     sides = list(map(str.lower, sides))
     is_red = np.fromiter(map(RED.__eq__, sides), bool, len(sides))
     is_blue = np.fromiter(map(BLUE.__eq__, sides), bool, len(sides))
-    unknown = np.flatnonzero(~(is_red | is_blue))
-    if unknown.size:
-        i = unknown[0]
-        raise InputError(f"{path}:{lines[i]}: unknown side {sides[i]!r}")
     red, blue = list(compress(nodes, is_red)), list(compress(nodes, is_blue))
-    for ids, side_lines, side in ((red, lines[is_red], RED), (blue, lines[is_blue], BLUE)):
-        bad = _first_bad_node(ids, side)
-        if bad:
-            raise InputError(f"{path}:{side_lines[bad[0]]}: {bad[1]}")
-    both = set(red).intersection(blue)
-    if both:
-        # no side repeats an id, so the first repeat in the file is on the other side
-        seen = set()
-        for line, node in zip(lines.tolist(), nodes):
-            if node in seen:
+    if not (is_red | is_blue).all() or "" in nodes or len(set(nodes)) < len(nodes):
+        # the first faulty row, its faults checked in the order a row is read
+        seen = {RED: set(), BLUE: set()}
+        for line, node, side in zip(lines.tolist(), nodes, sides):
+            if side not in seen:
+                raise InputError(f"{path}:{line}: unknown side {side!r}")
+            if not node:
+                raise InputError(f"{path}:{line}: empty node identifier")
+            if node in seen[side]:
                 raise InputError(
-                    f"{path}:{line}: identifier(s) on both sides: {sorted(both)[:5]}"
+                    f"{path}:{line}: node {node!r} declared twice on side {side}"
                 )
-            seen.add(node)
+            if node in seen[BLUE if side == RED else RED]:
+                both = sorted(set(red).intersection(blue))[:5]
+                raise InputError(f"{path}:{line}: identifier(s) on both sides: {both}")
+            seen[side].add(node)
     return red, blue
 
 

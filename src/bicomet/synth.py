@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,8 +151,7 @@ class TemporalScript:
                 )
 
 
-@dataclass(frozen=True)
-class LineageEdge:
+class LineageEdge(NamedTuple):
     """True parent-child relation between communities of consecutive periods."""
 
     period_from: str
@@ -329,6 +328,21 @@ def generate_graph(model: PlantedModel) -> tuple[BipartiteGraph, Partition]:
     return series[0][1], truths[0]
 
 
+def check_plants(
+    plants: Sequence[AttributePlant], plans: Sequence[CategoryPlan], n_communities: int
+) -> None:
+    """InputError unless every plant names a planned category and a community
+    below ``n_communities``."""
+    plan_names = {plan.name for plan in plans}
+    for plant in plants:
+        if plant.category not in plan_names:
+            raise InputError(f"plant references unknown category {plant.category!r}")
+        if not 0 <= plant.community < n_communities:
+            raise InputError(
+                f"plant references missing community {plant.community}"
+            )
+
+
 def generate_catalog(
     partition: Partition,
     plans: Sequence[CategoryPlan],
@@ -337,14 +351,7 @@ def generate_catalog(
 ) -> AttributeCatalog:
     """Attributes for a partition's nodes: uniform background values per
     category, then planted values injected at the requested penetration."""
-    plan_names = {plan.name for plan in plans}
-    for plant in plants:
-        if plant.category not in plan_names:
-            raise InputError(f"plant references unknown category {plant.category!r}")
-        if not 0 <= plant.community < partition.n_communities:
-            raise InputError(
-                f"plant references missing community {plant.community}"
-            )
+    check_plants(plants, plans, partition.n_communities)
     rows = []
     for index, plan in enumerate(plans):
         if plan.side == RED:
@@ -469,14 +476,7 @@ def write_ground_truth(truths, labels, path) -> None:
 
 
 def write_lineage(lineage: Sequence[LineageEdge], path) -> None:
-    write_rows(
-        path,
-        ["period_from", "community_from", "period_to", "community_to"],
-        (
-            (edge.period_from, edge.community_from, edge.period_to, edge.community_to)
-            for edge in lineage
-        ),
-    )
+    write_rows(path, LineageEdge._fields, lineage)
 
 
 def write_synthetic_dataset(

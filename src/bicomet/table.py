@@ -9,7 +9,10 @@ any case, whatever its width; edge and node lists give none.
 ``read_columns`` applies the same rules to a table of fixed width, checks
 the width of every row and hands its cells on column by column; every table
 but the manifest, whose width varies, is read by it.  ``write_columns`` is
-its counterpart.
+its counterpart.  ``write_rows`` is the one place a cell is formatted: a
+bool as "true" or "false" (``BOOL_CELLS`` reads it back), any other cell as
+``csv.writer`` writes it, so a float as its repr; a record that is a named
+tuple of its columns is therefore written as it is.
 
 Every table moves as one string: a file is read and decoded once, and
 written with one join and one write.  Text that holds no quote and no
@@ -174,13 +177,20 @@ def int_cells(values) -> list[str]:
     return gather(list(map(str, range(top))), values)
 
 
+BOOL_CELLS = {"true": True, "false": False}
+
+
 def write_rows(path, header, rows) -> None:
-    """Write ``rows`` to ``path``, preceded by ``header`` unless it is None."""
+    """Write ``rows`` to ``path``, preceded by ``header`` unless it is None;
+    a bool cell as "true" or "false"."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(
+            [("true" if c else "false") if c.__class__ is bool else c for c in row]
+            for row in rows
+        )
 
 
 def write_columns(path, header, columns) -> None:

@@ -13,14 +13,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .brim import Partition
 from .errors import InputError
 from .stats import HypergeomParams, bonferroni_threshold, overlap_pvalue
-from .table import read_columns, write_rows
+from .table import BOOL_CELLS, read_columns, write_rows
 
 POPULATION_UNION = "union"
 POPULATION_INTERSECTION = "intersection"
@@ -69,8 +69,7 @@ class TrackerConfig:
         )
 
 
-@dataclass(frozen=True)
-class TemporalLink:
+class TemporalLink(NamedTuple):
     """One tested community pair across consecutive periods."""
 
     period_from: str
@@ -207,6 +206,19 @@ def track_sequence(
     return links, threshold
 
 
+def check_roots(
+    sequence: TimedPartitionSequence, roots: Sequence[tuple[str, int]]
+) -> None:
+    """InputError unless every (period, community) root is a community of
+    ``sequence``."""
+    counts = {label: partition.n_communities for label, partition in sequence}
+    for period, community in roots:
+        if not 0 <= community < counts.get(period, 0):
+            raise InputError(
+                f"root community {community} not present in period {period!r}"
+            )
+
+
 def build_evolution_graph(
     sequence: TimedPartitionSequence,
     config: TrackerConfig = TrackerConfig(),
@@ -238,14 +250,8 @@ def build_evolution_graph(
         keep = validated
         node_keys = sorted(sizes, key=lambda k: (order[k[0]], k[1]))
     else:
-        root_set = set()
-        for period, community in roots:
-            if (period, community) not in sizes:
-                raise InputError(
-                    f"root community {community} not present in period {period!r}"
-                )
-            root_set.add((period, community))
-        reach = set(root_set)
+        check_roots(sequence, roots)
+        reach = set(roots)
         for link in sorted(
             validated, key=lambda l: (order[l.period_from], l.community_from, l.community_to)
         ):
@@ -306,17 +312,8 @@ def _json_export(graph: EvolutionGraph) -> str:
             {"period": n.period, "community": n.community, "size": n.size}
             for n in graph.nodes
         ],
-        "edges": [
-            {
-                "period_from": e.period_from,
-                "community_from": e.community_from,
-                "period_to": e.period_to,
-                "community_to": e.community_to,
-                "overlap": e.overlap,
-                "p_value": e.p_value,
-            }
-            for e in graph.edges
-        ],
+        # every edge is validated, so an edge is its link less that field
+        "edges": [dict(zip(TemporalLink._fields[:-1], e)) for e in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -338,28 +335,14 @@ def write_link_table(links: Sequence[TemporalLink], path) -> None:
     write_rows(
         path,
         ["period_t", "comm_i", "period_t1", "comm_j", "overlap", "p_value", "validated"],
-        (
-            [
-                link.period_from,
-                link.community_from,
-                link.period_to,
-                link.community_to,
-                link.overlap,
-                repr(link.p_value),
-                str(link.validated).lower(),
-            ]
-            for link in links
-        ),
+        links,
     )
-
-
-_VALIDATED = {"true": True, "false": False}
 
 
 def read_link_table(path) -> list[TemporalLink]:
     """Read a link table; InputError with file:line on a malformed row."""
     lines, columns = read_columns(path, 7, header=("period_t",))
-    parsers = (str, int, str, int, int, float, _VALIDATED.__getitem__)
+    parsers = (str, int, str, int, int, float, BOOL_CELLS.__getitem__)
     try:
         fields = [list(map(parse, column)) for parse, column in zip(parsers, columns)]
     except (ValueError, KeyError):

@@ -788,3 +788,52 @@ class TestMalformedConfig:
         config = write_section(tmp_path, dataset, "synth", plants="sector:SX:0:0.5")
         argv = ["synth", "--config", str(config)]
         self.assert_rejected(tmp_path, capsys, argv, "unknown category 'sector'")
+
+
+class TestCheckedBeforeWork:
+    """Values that can be checked against what is already known are checked
+    before the costly step or the first write they would waste."""
+
+    @pytest.mark.parametrize(
+        "plants, message",
+        [
+            ("industry:SX:0:0.5", "plant references unknown category 'industry'"),
+            ("sector:AA:2:0.5", "plant references missing community 2"),
+        ],
+    )
+    def test_plants_are_checked_before_the_edge_draw(
+        self, tmp_path, monkeypatch, capsys, dataset, plants, message
+    ):
+        import bicomet.synth as synth_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generate_sequence ran before the plants were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth_mod, "generate_sequence", no_draw)
+        config = write_section(
+            tmp_path, dataset, "synth", categories="sector:blue:AA|BB", plants=plants
+        )
+        assert main(["synth", "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
+    def test_a_plant_on_the_last_community_is_drawn(self, tmp_path, monkeypatch, dataset):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(
+            tmp_path, dataset, "synth", categories="sector:blue:AA|BB", plants="sector:EE:1:1.0"
+        )
+        assert main(["synth", "--config", str(config)]) == 0
+        assert "EE" in (tmp_path / "ds" / "attributes.csv").read_text()
+
+    def test_pipeline_checks_roots_before_ari_writes(
+        self, tmp_path, monkeypatch, capsys, dataset
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_section(tmp_path, dataset, "pipeline", roots="p00:99")
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert "root community 99 not present in period 'p00'" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert (out / "partitions").is_dir()
+        assert not (out / "ari.csv").exists()
+        assert not (out / "links.csv").exists()

@@ -216,3 +216,25 @@ class TestPeriodSeries:
         with pytest.raises(InputError) as info:
             load_period_series(manifest)
         assert str(info.value) == f"{manifest}:3: empty period label"
+
+
+class TestNodeListReportsEarliestFault:
+    """A node list's first faulty row in file order is the one reported,
+    whatever kind of fault a later row holds."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("b1,blue\nb1,blue\n,red\n", ":2: node 'b1' declared twice on side blue"),
+            (",red\nx,green\n", ":1: empty node identifier"),
+            ("a,red\nb,blue\nc,blue\na,blue\nc,blue\n", ":4: identifier(s) on both sides: ['a']"),
+            ("a,red\nb,purple\n,blue\n", ":2: unknown side 'purple'"),
+            ("a,red\nb,blue\nb,red\na,red\n", ":3: identifier(s) on both sides: ['b']"),
+        ],
+    )
+    def test_first_faulty_row(self, tmp_path, rows, message):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(rows)
+        with pytest.raises(InputError) as info:
+            load_node_list(nodes)
+        assert str(info.value) == f"{nodes}{message}"
