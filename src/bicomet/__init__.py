@@ -4,7 +4,6 @@ time-sequenced bipartite networks."""
 from .brim import (
     Partition,
     RunResult,
-    adapt_module_count,
     best_result,
     bipartite_modularity,
     brim_converge,
@@ -26,12 +25,11 @@ from .errors import InputError
 from .graph import (
     BipartiteGraph,
     PeriodGraphSeries,
-    density,
     load_edge_list,
     load_period_series,
     save_graph,
 )
-from .metrics import ContingencyTable, adjusted_rand_index, all_pairs_ari, contingency
+from .metrics import adjusted_rand_index, all_pairs_ari
 from .stats import (
     HypergeomParams,
     bonferroni_threshold,

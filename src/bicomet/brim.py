@@ -18,8 +18,8 @@ from itertools import compress
 import numpy as np
 
 from .errors import InputError
-from .graph import BLUE, RED, BipartiteGraph, rank_by_id
-from .seeding import STREAM_BRIM_ADAPT, STREAM_BRIM_RUN, derive_seed
+from .graph import BLUE, RED, BipartiteGraph
+from .seeding import STREAM_BRIM_RUN, derive_seed
 from .table import int_cells, read_columns, write_columns
 
 DEFAULT_MAX_SWEEPS = 200
@@ -31,8 +31,8 @@ class Partition:
     Labels are integers in [0, n_communities), held in one read-only int64
     array ``labels``, red nodes first; ``red_labels`` and ``blue_labels`` are
     views of it.  Communities may mix node sides.  Empty labels are tolerated
-    transiently (mid-optimization); ``compact()`` renumbers to the canonical
-    gap-free form.
+    transiently (mid-optimization); the optimizer renumbers its result to the
+    canonical gap-free form.
     """
 
     __slots__ = ("red_nodes", "blue_nodes", "labels", "n_communities")
@@ -112,17 +112,6 @@ class Partition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels, minlength=self.n_communities).tolist())
 
-    def compact(self) -> "Partition":
-        """Drop empty communities and renumber canonically.
-
-        Communities are ordered by their lexicographically smallest member
-        id, so the numbering does not depend on node input order: permuting
-        the nodes of a graph yields byte-identical label assignments.
-        """
-        labels, c = _compact_labels(self.labels, rank_by_id(self.nodes))
-        n_red = len(self.red_nodes)
-        return Partition(self.red_nodes, self.blue_nodes, labels[:n_red], labels[n_red:], c)
-
     def restricted_to(self, node_ids) -> "Partition":
         """Sub-partition over ``node_ids``; labels and community count are kept
         (communities may become empty)."""
@@ -201,8 +190,8 @@ class _Scratch:
     of every edge with the edges in (blue, red) order (``red_by_blue``), and
     buffers that a sweep writes some of its edge-sized arrays into.
 
-    One is made per ``brim_multirun`` or ``adapt_module_count`` call, or per
-    ``brim_converge`` call given none; it is never shared between threads.
+    One is made per ``brim_multirun`` call, or per ``brim_converge`` call
+    given none; it is never shared between threads.
     A copy sent to a worker process starts empty.
     """
 
@@ -539,60 +528,6 @@ def best_result(results: list[RunResult]) -> RunResult:
     if not results:
         raise ValueError("no results")
     return max(results, key=lambda r: (r.modularity, -r.run_id))
-
-
-def adapt_module_count(
-    graph: BipartiteGraph,
-    seed: int = 0,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> RunResult:
-    """Search the community count by geometric expansion then bisection.
-
-    Candidate counts 2, 4, 8, ... are evaluated (one converged run from a
-    fresh random start each) while the best Q keeps improving; a bisection
-    between the last improving and first non-improving count refines the
-    answer.  Returns the best result seen overall.
-    """
-    trials = 0
-    scratch = _Scratch(graph)
-
-    def evaluate(c: int) -> RunResult:
-        nonlocal trials
-        child = derive_seed(seed, STREAM_BRIM_ADAPT, trials)
-        rng = np.random.Generator(np.random.PCG64(child))
-        init = random_partition(graph, c, rng)
-        result = brim_converge(graph, init, max_sweeps, run_id=trials, seed=child,
-                               scratch=scratch)
-        trials += 1
-        return result
-
-    c_max = graph.n_red + graph.n_blue
-    best = evaluate(1)
-    q_prev = best.modularity
-    c_lo, c_hi = 1, None
-    c = 2
-    while c <= c_max:
-        result = evaluate(c)
-        if result.modularity > best.modularity:
-            best = result
-        if result.modularity > q_prev:
-            c_lo, q_prev = c, result.modularity
-            c *= 2
-        else:
-            c_hi = c
-            break
-    if c_hi is not None:
-        lo, hi, q_lo = c_lo, c_hi, q_prev
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            result = evaluate(mid)
-            if result.modularity > best.modularity:
-                best = result
-            if result.modularity > q_lo:
-                lo, q_lo = mid, result.modularity
-            else:
-                hi = mid
-    return best
 
 
 def write_partition_csv(partition: Partition, path) -> None:

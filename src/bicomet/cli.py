@@ -448,8 +448,12 @@ def cmd_synth(args) -> Path:
     plans = _entries("categories", cfg.categories, "name:side:v1|v2|...",
                      str, str, _category_values, sep=";", build=synth.CategoryPlan)
     script = synth.TemporalScript(cfg.periods, cfg.churn, tuple(splits + merges), tuple(plants))
-    # period 0 holds every planted community, so the plants are checked
-    # before the edges of any period are drawn
+    # period 0 holds every planted community, so the plans and plants are
+    # checked before the edges of any period are drawn
+    try:
+        synth.check_plans(plans)
+    except InputError as exc:
+        raise InputError(f"bad categories {cfg.categories!r}: {exc}") from None
     synth.check_plants(plants, plans, len(model.communities))
     series, truths, lineage = synth.generate_sequence(model, script)
     catalog = None

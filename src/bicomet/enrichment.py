@@ -24,12 +24,16 @@ from .table import read_columns, write_rows
 SCOPE_CARRIERS = "carriers"
 SCOPE_SIDE = "side"
 
+# the fixed columns of the community report; the categories follow them
+REPORT_COLUMNS = ("period", "community", "n_red", "n_blue")
+
 
 class AttributeCatalog:
     """Per-node categorical attributes, at most one value per category.
 
     Conflicting duplicate assignments are rejected; repeated identical rows
-    are tolerated.
+    are tolerated.  A category may not take the name of a fixed column of the
+    community report.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str]]):
@@ -38,6 +42,8 @@ class AttributeCatalog:
             node, category, value = str(node), str(category), str(value)
             if not node or not category or not value:
                 raise _RowError(i, "attribute rows need node, category and value")
+            if category in REPORT_COLUMNS:
+                raise _RowError(i, f"category {category!r} names a column of the report")
             existing = by_category.setdefault(category, {}).setdefault(node, value)
             if existing != value:
                 raise _RowError(
@@ -56,9 +62,6 @@ class AttributeCatalog:
             return dict(self._by_category[category])
         except KeyError:
             raise InputError(f"unknown category {category!r}") from None
-
-    def __len__(self):
-        return sum(len(v) for v in self._by_category.values())
 
 
 def load_attribute_catalog(path) -> AttributeCatalog:
@@ -222,12 +225,7 @@ def community_report(
     n_blue = np.bincount(partition.blue_labels, minlength=c).tolist()
     rows = []
     for community in range(c):
-        row = {
-            "period": period,
-            "community": community,
-            "n_red": n_red[community],
-            "n_blue": n_blue[community],
-        }
+        row = dict(zip(REPORT_COLUMNS, (period, community, n_red[community], n_blue[community])))
         for category in categories:
             values = sorted(validated.get((community, category), []))
             row[category] = " ".join(values) if values else NONE_MARKER
@@ -245,8 +243,6 @@ def write_enrichment_records(records: Sequence[EnrichmentRecord], path) -> None:
 
 
 def write_enrichment_report(rows: Sequence[dict], path) -> None:
-    categories = sorted(
-        {k for row in rows for k in row if k not in ("period", "community", "n_red", "n_blue")}
-    )
-    header = ["period", "community", "n_red", "n_blue", *categories]
+    categories = sorted({k for row in rows for k in row}.difference(REPORT_COLUMNS))
+    header = [*REPORT_COLUMNS, *categories]
     write_rows(path, header, ([row.get(col, NONE_MARKER) for col in header] for row in rows))

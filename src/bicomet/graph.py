@@ -1,4 +1,4 @@
-"""Unweighted bipartite graphs: construction, file ingestion, degrees, density.
+"""Unweighted bipartite graphs: construction, file ingestion and degrees.
 
 Node identifiers are opaque strings.  Each side receives a dense integer
 index in first-appearance order (explicitly declared nodes first, then edge
@@ -251,13 +251,6 @@ def _first_met(n_nodes: int, edges, n_declared: int, offset: int) -> np.ndarray:
     fresh = codes >= n_declared
     met[codes[fresh]] = 2 * first[fresh] + offset
     return met
-
-
-def density(graph: BipartiteGraph) -> float:
-    """Observed links over potential links, m / (n_red * n_blue)."""
-    if graph.n_red == 0 or graph.n_blue == 0:
-        raise InputError("density undefined: one node set is empty")
-    return graph.n_edges / (graph.n_red * graph.n_blue)
 
 
 def load_node_list(path):

@@ -1,4 +1,4 @@
-"""Partition comparison: contingency tables and the adjusted Rand index.
+"""Partition comparison: the adjusted Rand index.
 
 The ARI is evaluated in exact integer arithmetic (all terms are binomial
 counts scaled by a common denominator), so identical partitions score
@@ -7,32 +7,12 @@ exactly 1.0 and hand-checkable cases come out as exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .brim import Partition
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-tabulation of two partitions over their shared nodes.
-
-    ``counts[i][j]`` is the number of shared nodes in community
-    ``row_labels[i]`` of the first partition and ``col_labels[j]`` of the
-    second.  Nodes exclusive to one partition are counted, not tabulated.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    row_sums: tuple[int, ...]
-    col_sums: tuple[int, ...]
-    n: int
-    exclusive_a: int
-    exclusive_b: int
 
 
 def _codes(labels):
@@ -76,31 +56,6 @@ def _together(codes_a, n_a: int, codes_b, n_b: int) -> int:
     key.sort()
     bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
     return _pair_count(np.diff(bounds))
-
-
-def contingency(partition_a: Partition, partition_b: Partition) -> ContingencyTable:
-    """Contingency table over the intersection of the two node sets.
-
-    The shared nodes are counted by one ``bincount`` over the row and column
-    labels that occur, so memory is that of the table, never c_a x c_b.
-    """
-    (row_labels, rows), (col_labels, cols) = _shared_codes(partition_a, partition_b)
-    n = rows.size
-    shape = (row_labels.size, col_labels.size)
-    table = np.bincount(
-        rows * shape[1] + cols, minlength=shape[0] * shape[1]
-    ).reshape(shape)
-    counts = tuple(map(tuple, table.tolist()))
-    return ContingencyTable(
-        counts=counts,
-        row_labels=tuple(row_labels.tolist()),
-        col_labels=tuple(col_labels.tolist()),
-        row_sums=tuple(map(sum, counts)),
-        col_sums=tuple(map(sum, zip(*counts))),
-        n=n,
-        exclusive_a=len(partition_a.nodes) - n,
-        exclusive_b=len(partition_b.nodes) - n,
-    )
 
 
 def _ari(together: int, sum_a: int, sum_b: int, n: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 # Stream-kind constants.  These are part of the reproducibility contract:
 # changing them changes every derived stream.
 STREAM_BRIM_RUN = 1
-STREAM_BRIM_ADAPT = 2
+# 2 is retired; never reuse it
 STREAM_SYNTH_EDGES = 3
 STREAM_SYNTH_CHURN = 4
 STREAM_SYNTH_EVENTS = 5

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .brim import Partition
-from .enrichment import AttributeCatalog
+from .enrichment import REPORT_COLUMNS, AttributeCatalog
 from .errors import InputError
 from .graph import BLUE, RED, BipartiteGraph, PeriodGraphSeries, save_graph
 from .seeding import (
@@ -328,6 +328,18 @@ def generate_graph(model: PlantedModel) -> tuple[BipartiteGraph, Partition]:
     return series[0][1], truths[0]
 
 
+def check_plans(plans: Sequence[CategoryPlan]) -> None:
+    """InputError unless the plans name distinct categories, none of them a
+    fixed column of the enrichment report."""
+    seen = set()
+    for plan in plans:
+        if plan.name in REPORT_COLUMNS:
+            raise InputError(f"category {plan.name!r} names a column of the report")
+        if plan.name in seen:
+            raise InputError(f"category {plan.name!r} planned twice")
+        seen.add(plan.name)
+
+
 def check_plants(
     plants: Sequence[AttributePlant], plans: Sequence[CategoryPlan], n_communities: int
 ) -> None:
@@ -351,6 +363,7 @@ def generate_catalog(
 ) -> AttributeCatalog:
     """Attributes for a partition's nodes: uniform background values per
     category, then planted values injected at the requested penetration."""
+    check_plans(plans)
     check_plants(plants, plans, partition.n_communities)
     rows = []
     for index, plan in enumerate(plans):

@@ -10,7 +10,6 @@ import pytest
 from bicomet import brim
 from bicomet.brim import (
     Partition,
-    adapt_module_count,
     best_result,
     bipartite_modularity,
     brim_converge,
@@ -21,7 +20,7 @@ from bicomet.brim import (
     write_partition_csv,
 )
 from bicomet.errors import InputError
-from bicomet.graph import BLUE, RED, BipartiteGraph
+from bicomet.graph import BLUE, RED, BipartiteGraph, rank_by_id
 from bicomet.metrics import adjusted_rand_index
 
 
@@ -60,18 +59,6 @@ def label_map(partition):
 
 
 class TestPartition:
-    def test_compact_renumbers_canonically(self):
-        part = Partition.from_arrays(("r0",), ("b0", "b1"), [5], [5, 2], 6)
-        compacted = part.compact()
-        assert compacted.red_labels.tolist() == [0]
-        assert compacted.blue_labels.tolist() == [0, 1]
-        assert compacted.n_communities == 2
-
-    def test_compact_is_node_order_independent(self):
-        a = Partition.from_arrays(("r0", "r1"), ("b0",), [3, 1], [1], 4).compact()
-        b = Partition.from_arrays(("r1", "r0"), ("b0",), [1, 3], [1], 4).compact()
-        assert label_map(a) == label_map(b)
-
     def test_members_by_side(self):
         part = Partition.from_arrays(("r0", "r1"), ("b0",), [0, 1], [0])
         assert part.red_labels.tolist() == [0, 1]
@@ -726,26 +713,6 @@ class TestMultirun:
         assert best.run_id == min(r.run_id for r in results if r.modularity == top)
 
 
-class TestAdaptModuleCount:
-    def test_four_bicliques(self):
-        g = disjoint_bicliques(4, 2, 2)
-        result = adapt_module_count(g, seed=3)
-        assert result.modularity == pytest.approx(0.75, abs=1e-12)
-        assert result.partition.n_communities == 4
-
-    def test_single_edge(self):
-        g = disjoint_bicliques(1, 1, 1)
-        result = adapt_module_count(g, seed=0)
-        assert result.modularity == 0.0
-        assert result.partition.n_communities == 1
-
-    def test_star_has_zero_modularity(self):
-        blues = [f"b{j}" for j in range(5)]
-        g = BipartiteGraph([("hub", b) for b in blues])
-        result = adapt_module_count(g, seed=1)
-        assert result.modularity == pytest.approx(0.0, abs=1e-12)
-
-
 class TestPermutationInvariance:
     def test_node_order_only_renames_labels(self):
         rng = np.random.default_rng(21)
@@ -926,6 +893,18 @@ class TestFixedWorkPerGraph:
             assert count == present.size
             assert np.array_equal(compacted, mapping[labels])
 
+    def test_compact_labels_renumber_canonically(self):
+        labels, count = brim._compact_labels(np.array([5, 5, 2]), rank_by_id(("r0", "b0", "b1")))
+        assert labels.tolist() == [0, 0, 1]
+        assert count == 2
+
+    def test_compact_labels_are_node_order_independent(self):
+        maps = []
+        for nodes, labels in [(("r0", "r1", "b0"), [3, 1, 1]), (("r1", "r0", "b0"), [1, 3, 1])]:
+            compacted, _ = brim._compact_labels(np.array(labels), rank_by_id(nodes))
+            maps.append(dict(zip(nodes, compacted.tolist())))
+        assert maps[0] == maps[1]
+
     def test_node_ids_are_ranked_once_per_graph(self, monkeypatch):
         from bicomet import graph as graph_mod
 
@@ -934,10 +913,11 @@ class TestFixedWorkPerGraph:
         monkeypatch.setattr(
             graph_mod, "rank_by_id", lambda nodes: calls.append(1) or rank_by_id(nodes)
         )
-        brim_multirun(pinned_graph(), runs=3, restarts_per_run=4, master_seed=2)
+        graph = pinned_graph()
+        brim_multirun(graph, runs=3, restarts_per_run=4, master_seed=2)
         assert len(calls) == 1
-        adapt_module_count(pinned_graph(), seed=3)
-        assert len(calls) == 2
+        brim_multirun(graph, runs=2, restarts_per_run=3, master_seed=5)
+        assert len(calls) == 1
 
     def test_graph_rank_orders_node_ids(self):
         g = BipartiteGraph([("r2", "b1"), ("r10", "b0")])

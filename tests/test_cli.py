@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bicomet
@@ -319,6 +320,17 @@ class TestEnrichCommand:
         assert main(["detect", "--config", str(config)]) == 0
         assert main(["enrich", "--config", str(config), "--attributes", "nope.csv"]) == 1
 
+    def test_report_column_as_category_exits_one_and_writes_nothing(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        before = tree_bytes(tmp_path / "out")
+        catalog = tmp_path / "community.csv"
+        catalog.write_text("f0,sector,AA\nf1,community,BB\n")
+        assert main(["enrich", "--config", str(config), "--attributes", str(catalog)]) == 1
+        err = capsys.readouterr().err
+        assert f"{catalog}:2: category 'community' names a column of the report" in err
+        assert tree_bytes(tmp_path / "out") == before
+
 
 class TestPipeline:
     def test_end_to_end_and_determinism(self, workspace):
@@ -530,12 +542,13 @@ class TestLineageRecovery:
         for (period, _), truth in zip(series, truths):
             found = read_partition_csv(tmp_path / "out" / "partitions" / period / "best.csv")
             assert bc.adjusted_rand_index(found, truth) == 1.0
-            table = bc.contingency(truth, found)
-            mapping = {}
-            for i, row in enumerate(table.counts):
-                j = max(range(len(row)), key=row.__getitem__)
-                mapping[table.row_labels[i]] = table.col_labels[j]
-            label_maps[period] = mapping
+            # each truth community maps to the found community holding most of it
+            truth_labels, found_labels = truth.shared_labels(found)
+            c = found.n_communities
+            cells = np.bincount(
+                truth_labels * c + found_labels, minlength=truth.n_communities * c
+            )
+            label_maps[period] = dict(enumerate(cells.reshape(-1, c).argmax(axis=1).tolist()))
 
         expected = {
             (
@@ -746,6 +759,10 @@ class TestMalformedConfig:
             ("synth", "plants", "a:b:c:0.5", "'a:b:c:0.5'"),
             ("synth", "plants", "a:b:0:zz", "'a:b:0:zz'"),
             ("synth", "communities", "5x", "'5x'"),
+            ("synth", "categories", "region:red:R0|R1;region:blue:B0|B1",
+             "category 'region' planned twice"),
+            ("synth", "categories", "sector:blue:A|B;n_blue:blue:C",
+             "category 'n_blue' names a column of the report"),
             ("synth", "seed", "-1", "-1"),
         ],
     )

@@ -5,7 +5,6 @@ from bicomet.errors import InputError
 from bicomet.graph import (
     BipartiteGraph,
     PeriodGraphSeries,
-    density,
     load_edge_list,
     load_node_list,
     load_period_series,
@@ -64,40 +63,6 @@ class TestConstruction:
                 continue
             g = BipartiteGraph(edges)
             assert g.red_degrees.sum() == g.blue_degrees.sum() == g.n_edges
-
-
-class TestDensity:
-    def test_complete_graphs(self):
-        for p, q in [(1, 1), (2, 3), (4, 5)]:
-            assert density(complete(p, q)) == 1.0
-
-    def test_half_full(self):
-        g = BipartiteGraph(
-            [("r0", "b0"), ("r0", "b1"), ("r1", "b2")],
-            red_nodes=["r0", "r1"],
-            blue_nodes=["b0", "b1", "b2"],
-        )
-        assert density(g) == 0.5
-
-    def test_sparse(self):
-        g = BipartiteGraph(
-            [("r0", "b0")],
-            red_nodes=[f"r{i}" for i in range(4)],
-            blue_nodes=[f"b{j}" for j in range(5)],
-        )
-        assert density(g) == 0.05
-
-    def test_empty_side_rejected(self):
-        g = BipartiteGraph([], red_nodes=["r0"], blue_nodes=[])
-        with pytest.raises(InputError):
-            density(g)
-
-    def test_relabel_invariance(self):
-        g = BipartiteGraph([("r0", "b0"), ("r1", "b1"), ("r1", "b0")])
-        renamed = BipartiteGraph(
-            [("alpha", "x"), ("beta", "y"), ("beta", "x")]
-        )
-        assert density(g) == density(renamed)
 
 
 class TestDegrees:

@@ -178,6 +178,21 @@ class TestCatalogGeneration:
         with pytest.raises(InputError, match="unknown category"):
             generate_catalog(truth, plans, seed=0, plants=plants)
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("region", "region"), "category 'region' planned twice"),
+            (("sector", "community"), "category 'community' names a column of the report"),
+        ],
+    )
+    def test_bad_category_names_rejected(self, names, message):
+        model = PlantedModel(communities=((2, 2),), p_in=1.0, p_out=0.0)
+        _, truth = generate_graph(model)
+        plans = [CategoryPlan(name=name, side=side, values=("A",))
+                 for name, side in zip(names, ("red", "blue"))]
+        with pytest.raises(InputError, match=message):
+            generate_catalog(truth, plans, seed=0)
+
 
 class TestSetPartitions:
     @pytest.mark.parametrize("n,bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
