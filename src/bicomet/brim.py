@@ -112,21 +112,6 @@ class Partition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels, minlength=self.n_communities).tolist())
 
-    def restricted_to(self, node_ids) -> "Partition":
-        """Sub-partition over ``node_ids``; labels and community count are kept
-        (communities may become empty)."""
-        position = self.positions_of(node_ids)
-        keep = np.zeros(self.labels.size, dtype=bool)
-        keep[position[position >= 0]] = True
-        red, blue = np.split(keep, [len(self.red_nodes)])
-        return Partition(
-            compress(self.red_nodes, red),
-            compress(self.blue_nodes, blue),
-            self.red_labels[red],
-            self.blue_labels[blue],
-            self.n_communities,
-        )
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -381,15 +381,17 @@ def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
     return graph
 
 
-def cmd_enrich(cfg: PipelineConfig, sequence=None) -> list[dict]:
+def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
     """Over-expression tests for every period's best partition.
 
-    ``sequence`` is as for :func:`cmd_track`.
+    ``sequence`` is as for :func:`cmd_track`; ``catalog`` is the attribute
+    catalog, read from ``cfg.attributes`` when not given.
     """
     out = Path(cfg.output_dir)
-    if not cfg.attributes:
-        raise InputError("enrich requires an attribute catalog (key 'attributes')")
-    catalog = enrichment.load_attribute_catalog(cfg.attributes)
+    if catalog is None:
+        if not cfg.attributes:
+            raise InputError("enrich requires an attribute catalog (key 'attributes')")
+        catalog = enrichment.load_attribute_catalog(cfg.attributes)
     config = enrichment.EnrichmentConfig(
         p_univariate=cfg.p_t, population_scope=cfg.population_scope
     )
@@ -472,9 +474,13 @@ def _category_values(pool: str) -> tuple[str, ...]:
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """detect -> ari -> track -> enrich, as configured."""
-    # enrich reads the catalog last; a path that names no file fails before detect
-    if cfg.attributes and not os.path.isfile(cfg.attributes):
-        raise InputError(f"bad attributes {cfg.attributes!r}: no such file")
+    # the catalog is read before detect, so a faulty one fails before any write
+    catalog = None
+    if cfg.attributes:
+        try:
+            catalog = enrichment.load_attribute_catalog(cfg.attributes)
+        except InputError as exc:
+            raise InputError(f"bad attributes {cfg.attributes!r}: {exc}") from None
     runs, sequence = cmd_detect(cfg)
     roots = cfg.parsed_roots()
     if roots and len(sequence) >= 2:
@@ -484,8 +490,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
         cmd_ari(cfg, runs)
     if len(sequence) >= 2:
         cmd_track(cfg, sequence)
-    if cfg.attributes:
-        cmd_enrich(cfg, sequence)
+    if catalog is not None:
+        cmd_enrich(cfg, sequence, catalog)
 
 
 def _build_parser() -> argparse.ArgumentParser:

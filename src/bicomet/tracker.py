@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,22 +30,6 @@ DIRECTION_FORWARD = "forward_only"
 TimedPartitionSequence = Sequence[tuple[str, Partition]]
 
 
-def _normalize_population_rule(rule: str) -> str:
-    rule = rule.lower()
-    if rule in (POPULATION_UNION, "union_of_periods"):
-        return POPULATION_UNION
-    if rule == POPULATION_INTERSECTION:
-        return POPULATION_INTERSECTION
-    raise InputError(f"unknown population rule {rule!r}")
-
-
-def _normalize_direction(direction: str) -> str:
-    direction = direction.lower()
-    if direction in (DIRECTION_ALL, DIRECTION_FORWARD):
-        return direction
-    raise InputError(f"unknown direction filter {direction!r}")
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     """Knobs of the temporal validation: univariate threshold, how the joint
@@ -61,12 +44,10 @@ class TrackerConfig:
             raise InputError(
                 f"p_univariate must be in (0, 1], got {self.p_univariate}"
             )
-        object.__setattr__(
-            self, "population_rule", _normalize_population_rule(self.population_rule)
-        )
-        object.__setattr__(
-            self, "direction_filter", _normalize_direction(self.direction_filter)
-        )
+        if self.population_rule not in (POPULATION_UNION, POPULATION_INTERSECTION):
+            raise InputError(f"unknown population rule {self.population_rule!r}")
+        if self.direction_filter not in (DIRECTION_ALL, DIRECTION_FORWARD):
+            raise InputError(f"unknown direction filter {self.direction_filter!r}")
 
 
 class TemporalLink(NamedTuple):
@@ -119,17 +100,24 @@ def track_pair(
     1, never validated).  ``population`` must be at least every community
     size involved.
     """
-    sizes_from = partition_from.sizes()
-    sizes_to = partition_to.sizes()
-    for period, sizes in ((period_from, sizes_from), (period_to, sizes_to)):
-        for label, size in enumerate(sizes):
+    shared = partition_from.shared_labels(partition_to)
+    sizes = partition_from.sizes(), partition_to.sizes()
+    return _test_pair(shared, sizes, population, threshold, period_from, period_to)
+
+
+def _test_pair(shared, sizes, population, threshold, period_from, period_to):
+    """The links of one period pair, from ``shared``, the two label arrays of
+    the nodes both periods hold, and ``sizes``, the two periods' community
+    sizes (one per label) within ``population``."""
+    for period, period_sizes in zip((period_from, period_to), sizes):
+        for label, size in enumerate(period_sizes):
             if size > population:
                 raise InputError(
                     f"community {label} of {period} has {size} members, "
                     f"exceeding population {population}"
                 )
-    c_from, c_to = partition_from.n_communities, partition_to.n_communities
-    labels_from, labels_to = partition_from.shared_labels(partition_to)
+    (labels_from, labels_to), (sizes_from, sizes_to) = shared, sizes
+    c_from, c_to = len(sizes_from), len(sizes_to)
     overlaps = np.bincount(
         labels_from * c_to + labels_to, minlength=c_from * c_to
     ).reshape(c_from, c_to).tolist()
@@ -173,36 +161,30 @@ def sequence_bonferroni(
     return bonferroni_threshold(p_univariate, total_tests)
 
 
-def _joint_population(partition_a, partition_b, rule):
-    in_b = partition_b.positions_of(partition_a.nodes) >= 0
-    n_common = int(np.count_nonzero(in_b))
-    if rule == POPULATION_UNION:
-        union = len(partition_a.nodes) + len(partition_b.nodes) - n_common
-        return union, partition_a, partition_b
-    common = tuple(compress(partition_a.nodes, in_b))
-    return n_common, partition_a.restricted_to(common), partition_b.restricted_to(common)
-
-
 def track_sequence(
     sequence: TimedPartitionSequence, config: TrackerConfig = TrackerConfig()
 ) -> tuple[list[TemporalLink], float]:
-    """All links across all consecutive period pairs, at the global threshold."""
+    """All links across all consecutive period pairs, at the global threshold.
+
+    Each pair's nodes are aligned once.  The union rule counts every node of
+    either period and whole communities; the intersection rule counts only
+    the nodes both periods hold, and each community's members among them.
+    """
     threshold = sequence_bonferroni(sequence, config.p_univariate)
     links: list[TemporalLink] = []
     for (label_a, part_a), (label_b, part_b) in zip(sequence, sequence[1:]):
-        population, restricted_a, restricted_b = _joint_population(
-            part_a, part_b, config.population_rule
-        )
-        links.extend(
-            track_pair(
-                restricted_a,
-                restricted_b,
-                population,
-                threshold,
-                period_from=label_a,
-                period_to=label_b,
+        shared = part_a.shared_labels(part_b)
+        n_shared = shared[0].size
+        if config.population_rule == POPULATION_UNION:
+            population = part_a.labels.size + part_b.labels.size - n_shared
+            sizes = part_a.sizes(), part_b.sizes()
+        else:
+            population = n_shared
+            sizes = tuple(
+                np.bincount(labels, minlength=part.n_communities).tolist()
+                for labels, part in zip(shared, (part_a, part_b))
             )
-        )
+        links.extend(_test_pair(shared, sizes, population, threshold, label_a, label_b))
     return links, threshold
 
 
@@ -248,7 +230,7 @@ def build_evolution_graph(
 
     if roots is None:
         keep = validated
-        node_keys = sorted(sizes, key=lambda k: (order[k[0]], k[1]))
+        shown = sizes
     else:
         check_roots(sequence, roots)
         reach = set(roots)
@@ -257,25 +239,19 @@ def build_evolution_graph(
         ):
             if (link.period_from, link.community_from) in reach:
                 reach.add((link.period_to, link.community_to))
-        if config.direction_filter == DIRECTION_FORWARD:
-            keep = [
-                link
-                for link in validated
-                if (link.period_from, link.community_from) in reach
-            ]
-            node_keys = sorted(reach, key=lambda k: (order[k[0]], k[1]))
-        else:
-            keep = [
-                link
-                for link in validated
-                if (link.period_from, link.community_from) in reach
-                or (link.period_to, link.community_to) in reach
-            ]
-            shown = set(reach)
-            for link in keep:
-                shown.add((link.period_from, link.community_from))
-                shown.add((link.period_to, link.community_to))
-            node_keys = sorted(shown, key=lambda k: (order[k[0]], k[1]))
+        arriving = config.direction_filter == DIRECTION_ALL
+        keep = [
+            link
+            for link in validated
+            if (link.period_from, link.community_from) in reach
+            or arriving and (link.period_to, link.community_to) in reach
+        ]
+        # a kept link that leaves the reached set ends in it, so only the
+        # arriving links add nodes
+        shown = reach.union(
+            *(((l.period_from, l.community_from), (l.period_to, l.community_to)) for l in keep)
+        )
+    node_keys = sorted(shown, key=lambda k: (order[k[0]], k[1]))
 
     keep = sorted(
         keep,

@@ -69,34 +69,6 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition(("r0",), ("b0",), (0,), (2,), 2)
 
-    def test_restriction_keeps_labels(self):
-        part = Partition.from_arrays(("r0", "r1"), ("b0",), [0, 1], [1])
-        sub = part.restricted_to({"r1", "b0"})
-        assert sub.red_nodes == ("r1",)
-        assert sub.n_communities == 2
-        assert sub.sizes() == (0, 2)
-
-    def test_restriction_matches_filtering_node_by_node(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            n_red, n_blue = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-            reds = [f"r{i}" for i in rng.permutation(n_red)]
-            blues = [f"b{j}" for j in rng.permutation(n_blue)]
-            c = int(rng.integers(1, 4))
-            part = Partition(
-                reds, blues, rng.integers(0, c, n_red), rng.integers(0, c, n_blue), c
-            )
-            pool = reds + blues + ["x0", "x1"]
-            keep = [n for n in pool if rng.random() < 0.5] * int(rng.integers(1, 3))
-            sub = part.restricted_to(n for n in keep)
-            mapping = label_map(part)
-            red_kept = [n for n in reds if n in keep]
-            blue_kept = [n for n in blues if n in keep]
-            assert sub == Partition(
-                red_kept, blue_kept, [mapping[n] for n in red_kept],
-                [mapping[n] for n in blue_kept], c,
-            )
-
     def test_labels_are_one_int64_array_red_first(self):
         part = Partition(("r0", "r1"), ("b0",), [2, 0], [1], 3)
         assert part.labels.dtype == np.int64

@@ -751,7 +751,9 @@ class TestMalformedConfig:
             ("pipeline", "master_seed", "-1", "-1"),
             ("pipeline", "p_t", "2", "2.0"),
             ("pipeline", "population_rule", "x", "'x'"),
+            ("pipeline", "population_rule", "Union", "'Union'"),
             ("pipeline", "direction_filter", "x", "'x'"),
+            ("pipeline", "direction_filter", "FORWARD_ONLY", "'FORWARD_ONLY'"),
             ("pipeline", "population_scope", "x", "'x'"),
             ("pipeline", "attributes", "missing.csv", "'missing.csv'"),
             ("synth", "splits", "x:1", "'x:1'"),
@@ -854,3 +856,15 @@ class TestCheckedBeforeWork:
         assert (out / "partitions").is_dir()
         assert not (out / "ari.csv").exists()
         assert not (out / "links.csv").exists()
+
+    def test_pipeline_reads_the_catalog_before_detect(
+        self, tmp_path, monkeypatch, capsys, dataset
+    ):
+        monkeypatch.chdir(tmp_path)
+        catalog = tmp_path / "bad.csv"
+        catalog.write_text("f0,community,A\n")
+        config = write_section(tmp_path, dataset, "pipeline", attributes=catalog)
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{catalog}:1: category 'community' names a column of the report" in err
+        assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -403,8 +404,12 @@ def random_attributed(rng):
         red_labels, blue_labels, c,
     )
     if rng.random() < 0.3:
-        partition = partition.restricted_to(
-            n for n in partition.nodes if rng.random() < 0.7 or n == blues[0]
+        keep = {n for n in partition.nodes if rng.random() < 0.7 or n == blues[0]}
+        red = [node in keep for node in partition.red_nodes]
+        blue = [node in keep for node in partition.blue_nodes]
+        partition = Partition.from_arrays(
+            compress(partition.red_nodes, red), compress(partition.blue_nodes, blue),
+            partition.red_labels[red], partition.blue_labels[blue], c,
         )
     rows = []
     for index in range(int(rng.integers(1, 4))):

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
@@ -216,8 +216,13 @@ def random_pairs(seed, count):
             extra = [f"x{k}" for k in range(int(rng.integers(0, 10)))]
             b = random_partition(rng, [n for n, k in zip(pool, keep) if k] + extra)
         elif kind == 3:
-            b = random_partition(rng, pool).restricted_to(
-                n for n in pool if rng.random() < 0.5
+            b = random_partition(rng, pool)
+            kept = {n for n in pool if rng.random() < 0.5}
+            red = [node in kept for node in b.red_nodes]
+            blue = [node in kept for node in b.blue_nodes]
+            b = Partition.from_arrays(
+                compress(b.red_nodes, red), compress(b.blue_nodes, blue),
+                b.red_labels[red], b.blue_labels[blue], b.n_communities,
             )
         else:
             half = len(pool) // 2
@@ -239,7 +244,7 @@ class TestCrossTabulationMatchesDictOracle:
 
     def test_empty_partition_shares_no_nodes(self):
         a = blue_partition([0, 1])
-        empty = a.restricted_to(())
+        empty = Partition.from_arrays((), (), [], [], a.n_communities)
         with pytest.raises(InputError, match="share no nodes"):
             adjusted_rand_index(empty, a)
 

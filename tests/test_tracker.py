@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -247,9 +249,17 @@ class TestBuildEvolutionGraph:
         assert u.overlap == i.overlap
         assert u.p_value != i.p_value
 
-    def test_union_of_periods_alias(self):
-        cfg = TrackerConfig(population_rule="union_of_periods")
-        assert cfg.population_rule == "union"
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("population_rule", "Union"),
+            ("population_rule", "Intersection"),
+            ("direction_filter", "FORWARD_ONLY"),
+        ],
+    )
+    def test_rule_names_are_matched_exactly(self, key, value):
+        with pytest.raises(InputError, match=repr(value)):
+            TrackerConfig(**{key: value})
 
 
 class TestLongSeries:
@@ -436,21 +446,21 @@ class TestNullCalibration:
 
 
 def dict_track_pair(partition_from, partition_to, population, threshold,
-                    period_from="t", period_to="t+1"):
+                    period_from="t", period_to="t+1", within=None):
     """Reference oracle: the dict-of-overlaps ``track_pair`` that the
-    node-aligned cross-tabulation replaced (size checks left out)."""
-    sizes_from = partition_from.sizes()
-    sizes_to = partition_to.sizes()
-    map_to = dict(zip(partition_to.nodes, partition_to.labels.tolist()))
-    overlaps = {}
-    for node, gi in zip(partition_from.nodes, partition_from.labels.tolist()):
-        gj = map_to.get(node)
-        if gj is not None:
-            overlaps[(gi, gj)] = overlaps.get((gi, gj), 0) + 1
+    node-aligned cross-tabulation replaced (size checks left out).  Given
+    ``within``, a node set, only its nodes are counted."""
+    def members(partition):
+        labels = zip(partition.nodes, partition.labels.tolist())
+        return {node: label for node, label in labels if within is None or node in within}
+
+    map_from, map_to = members(partition_from), members(partition_to)
+    sizes_from, sizes_to = Counter(map_from.values()), Counter(map_to.values())
+    overlaps = Counter((gi, map_to[node]) for node, gi in map_from.items() if node in map_to)
     links = []
     for gi in range(partition_from.n_communities):
         for gj in range(partition_to.n_communities):
-            n_ij = overlaps.get((gi, gj), 0)
+            n_ij = overlaps[(gi, gj)]
             if n_ij == 0:
                 p = 1.0
             else:
@@ -469,12 +479,13 @@ def dict_track_sequence(sequence, config):
     for (label_a, part_a), (label_b, part_b) in zip(sequence, sequence[1:]):
         ids_a, ids_b = set(part_a.nodes), set(part_b.nodes)
         if config.population_rule == "union":
-            population = len(ids_a | ids_b)
+            within, population = None, len(ids_a | ids_b)
         else:
-            common = ids_a & ids_b
-            population = len(common)
-            part_a, part_b = part_a.restricted_to(common), part_b.restricted_to(common)
-        links.extend(dict_track_pair(part_a, part_b, population, threshold, label_a, label_b))
+            within = ids_a & ids_b
+            population = len(within)
+        links.extend(
+            dict_track_pair(part_a, part_b, population, threshold, label_a, label_b, within)
+        )
     return links, threshold
 
 
@@ -504,7 +515,14 @@ def random_period_pair(rng, kind):
         kept = [n for n in pool if rng.random() < 0.7]
         b = random_labelled(rng, kept + [f"x{k}" for k in range(int(rng.integers(0, 15)))])
     elif kind == 3:
-        b = random_labelled(rng, pool).restricted_to(n for n in pool if rng.random() < 0.5)
+        b = random_labelled(rng, pool)
+        keep = {n for n in pool if rng.random() < 0.5}
+        red = [node in keep for node in b.red_nodes]
+        blue = [node in keep for node in b.blue_nodes]
+        b = Partition.from_arrays(
+            compress(b.red_nodes, red), compress(b.blue_nodes, blue),
+            b.red_labels[red], b.blue_labels[blue], b.n_communities,
+        )
     else:
         b = random_labelled(rng, [f"y{k}" for k in range(int(rng.integers(1, 30)))])
     return a, b
@@ -529,3 +547,120 @@ class TestOverlapsMatchDictOracle:
             c = random_labelled(rng, list(set(b.nodes) | {"z0", "z1"}))
             sequence = [("p0", a), ("p1", b), ("p2", c)]
             assert track_sequence(sequence, config) == dict_track_sequence(sequence, config)
+
+
+class TestOneAlignmentPerPair:
+    @pytest.mark.parametrize("rule", ["union", "intersection"])
+    def test_each_period_pair_is_aligned_once(self, monkeypatch, rule):
+        aligned = []
+        positions_of = Partition.positions_of
+
+        def spy(partition, nodes):
+            aligned.append(partition)
+            return positions_of(partition, nodes)
+
+        monkeypatch.setattr(Partition, "positions_of", spy)
+        rng = np.random.default_rng(13)
+        for i in range(10):
+            a, b = random_period_pair(rng, i % 5)
+            c = random_labelled(rng, list(set(b.nodes) | {"z0", "z1"}))
+            sequence = [("p0", a), ("p1", b), ("p2", c)]
+            aligned.clear()
+            track_sequence(sequence, TrackerConfig(population_rule=rule))
+            assert aligned == [b, c]
+
+
+def reference_evolution_graph(sequence, links, roots, direction_filter):
+    """Reference oracle for the root filter: the reached set from a pass over
+    the periods in time order, the links that leave it (and under ``all``
+    those that arrive in it), and the communities these touch."""
+    periods = [label for label, _ in sequence]
+    validated = [
+        ((l.period_from, l.community_from), (l.period_to, l.community_to))
+        for l in links
+        if l.validated
+    ]
+    reached = set(roots)
+    for period in periods:
+        for source, target in validated:
+            if source[0] == period and source in reached:
+                reached.add(target)
+    kept = [
+        (source, target)
+        for source, target in validated
+        if source in reached or (direction_filter == "all" and target in reached)
+    ]
+    shown = set(reached)
+    for source, target in kept:
+        shown.update((source, target))
+    sizes = {
+        (label, community): size
+        for label, partition in sequence
+        for community, size in enumerate(partition.sizes())
+    }
+    rank = {label: t for t, label in enumerate(periods)}
+    nodes = [
+        (period, community, sizes[(period, community)])
+        for period, community in sorted(shown, key=lambda k: (rank[k[0]], k[1]))
+        if sizes[(period, community)] > 0
+    ]
+    edges = sorted(kept, key=lambda e: (rank[e[0][0]], e[0][1], e[1][1]))
+    return nodes, edges
+
+
+def drifting_sequence(rng):
+    """2 to 5 periods over a drifting node pool: most nodes keep their
+    community from one period to the next, under a fresh numbering."""
+    pool = [f"n{k}" for k in range(int(rng.integers(20, 60)))]
+    c = int(rng.integers(1, 6))
+    labels = dict(zip(pool, rng.integers(0, c, size=len(pool)).tolist()))
+    sequence = []
+    for t in range(int(rng.integers(2, 6))):
+        names = [str(n) for n in rng.permutation(list(labels))]
+        n_red = int(rng.integers(0, len(names) + 1))
+        values = [labels[n] for n in names]
+        sequence.append((f"p{t}", Partition.from_arrays(
+            names[:n_red], names[n_red:], values[:n_red], values[n_red:], c
+        )))
+        c_next = int(rng.integers(1, 6))
+        renumber = rng.integers(0, c_next, size=c).tolist()
+        labels = {
+            n: renumber[g] if rng.random() < 0.9 else int(rng.integers(0, c_next))
+            for n, g in labels.items()
+            if rng.random() < 0.9
+        }
+        labels.update((f"m{t}_{k}", int(rng.integers(0, c_next))) for k in range(3))
+        c = c_next
+    return sequence
+
+
+class TestRootFilterMatchesReference:
+    @pytest.mark.parametrize("direction_filter", ["all", "forward_only"])
+    def test_on_random_sequences(self, direction_filter):
+        rng = np.random.default_rng(31 if direction_filter == "all" else 32)
+        config = TrackerConfig(p_univariate=0.5, direction_filter=direction_filter)
+        kept = merged = 0
+        for _ in range(150):
+            sequence = drifting_sequence(rng)
+            communities = [
+                (label, community)
+                for label, partition in sequence
+                for community in range(partition.n_communities)
+            ]
+            picks = rng.choice(len(communities), size=int(rng.integers(1, 3)))
+            roots = [communities[i] for i in picks.tolist()]
+            links, threshold = track_sequence(sequence, config)
+            graph = build_evolution_graph(sequence, config, roots=roots)
+            nodes, edges = reference_evolution_graph(sequence, links, roots, direction_filter)
+            assert [(n.period, n.community, n.size) for n in graph.nodes] == nodes
+            assert [
+                ((e.period_from, e.community_from), (e.period_to, e.community_to))
+                for e in graph.edges
+            ] == edges
+            assert graph.p_threshold == threshold
+            kept += bool(edges)
+            # links that arrive in the reached set from outside it
+            forward = reference_evolution_graph(sequence, links, roots, "forward_only")
+            merged += (nodes, edges) != forward
+        assert kept > 50
+        assert merged > 10 if direction_filter == "all" else merged == 0
