@@ -27,7 +27,6 @@ from .graph import (
     PeriodGraphSeries,
     load_edge_list,
     load_period_series,
-    save_graph,
 )
 from .metrics import adjusted_rand_index, all_pairs_ari
 from .stats import (

@@ -22,7 +22,7 @@ from .graph import BLUE, RED, BipartiteGraph
 from .seeding import STREAM_BRIM_RUN, derive_seed
 from .table import int_cells, read_columns, write_columns
 
-DEFAULT_MAX_SWEEPS = 200
+MAX_SWEEPS = 200
 
 
 class Partition:
@@ -378,7 +378,6 @@ def _compact_labels(labels, rank):
 def brim_converge(
     graph: BipartiteGraph,
     initial_partition: Partition,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     run_id: int = 0,
     seed: int = 0,
     *,
@@ -389,14 +388,12 @@ def brim_converge(
     A sweep is one blue step followed by one red step, then compaction of
     empty communities.  Stops when a sweep does not raise the exact integer
     modularity numerator (a sweep that changes no label cannot), or after
-    ``max_sweeps``.  The numerator is computed once, for the initial
+    ``MAX_SWEEPS`` sweeps.  The numerator is computed once, for the initial
     partition; after that it is the red step's sum of chosen scores, which
     compaction does not change.  The sweeps run on label arrays in graph
     node order, in the buffers of ``scratch`` (a fresh set when None); the
     result partition is the only ``Partition`` built.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if graph.n_edges == 0:
         raise InputError("modularity undefined for a graph with no edges")
     red, blue = _aligned_labels(graph, initial_partition)
@@ -407,7 +404,7 @@ def brim_converge(
     elif scratch.graph is not graph:
         raise ValueError("scratch was made for another graph")
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         blue, _ = _best_labels(graph, BLUE, red, c, scratch)
         red, num_new = _best_labels(graph, RED, blue, c, scratch)
         labels, c = _compact_labels(np.concatenate((red, blue)), graph.id_rank)
@@ -440,31 +437,15 @@ def random_partition(
     return Partition(graph.red_nodes, graph.blue_nodes, red, blue, n_communities)
 
 
-def default_module_count(graph: BipartiteGraph) -> int:
-    return max(1, min(graph.n_red, graph.n_blue))
-
-
-def _normalize_schedule(schedule, graph):
-    if schedule is None:
-        return [default_module_count(graph)]
-    if isinstance(schedule, int):
-        schedule = [schedule]
-    schedule = [int(c) for c in schedule]
-    if not schedule or any(c < 1 for c in schedule):
-        raise ValueError(f"invalid module count schedule: {schedule}")
-    return schedule
-
-
 def _best_of_run(args):
-    graph, run_id, restarts, schedule, master_seed, max_sweeps, scratch = args
+    graph, run_id, restarts, schedule, master_seed, scratch = args
     best = None
     for restart in range(restarts):
         seed = derive_seed(master_seed, STREAM_BRIM_RUN, run_id, restart)
         rng = np.random.Generator(np.random.PCG64(seed))
         c0 = schedule[restart % len(schedule)]
         init = random_partition(graph, c0, rng)
-        result = brim_converge(graph, init, max_sweeps, run_id=run_id, seed=seed,
-                               scratch=scratch)
+        result = brim_converge(graph, init, run_id=run_id, seed=seed, scratch=scratch)
         if best is None or result.modularity > best.modularity:
             best = result
     return best
@@ -476,26 +457,32 @@ def brim_multirun(
     restarts_per_run: int,
     module_count_schedule=None,
     master_seed: int = 0,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[RunResult]:
     """Independent runs of restarted optimization; one best result per run.
 
     Each run performs ``restarts_per_run`` restarts from independent uniform
     random initial assignments and keeps its best-Q result.  All seeds derive
     deterministically from ``master_seed``, so output is identical whether
-    runs execute serially or in a worker pool.
+    runs execute serially or in a worker pool.  Restart r of a run starts with
+    the r-th count of ``module_count_schedule``, cycled; None means
+    ``[max(1, min(n_red, n_blue))]``.
     """
     if runs < 1 or restarts_per_run < 1:
         raise ValueError("runs and restarts_per_run must be >= 1")
-    schedule = _normalize_schedule(module_count_schedule, graph)
+    if module_count_schedule is None:
+        schedule = [max(1, min(graph.n_red, graph.n_blue))]
+    else:
+        schedule = list(module_count_schedule)
+        if not schedule or min(schedule) < 1:
+            raise ValueError(f"invalid module count schedule: {schedule}")
     graph.id_rank  # rank the node ids before the jobs copy the graph to workers
     scratch = _Scratch(graph)
     jobs = [
-        (graph, run_id, restarts_per_run, schedule, master_seed, max_sweeps, scratch)
+        (graph, run_id, restarts_per_run, schedule, master_seed, scratch)
         for run_id in range(runs)
     ]
-    if workers is not None and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_best_of_run, jobs))
         # each result comes back with its own unpickled copy of the node ids;

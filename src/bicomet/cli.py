@@ -206,7 +206,7 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
                 restarts_per_run=cfg.restarts_per_run,
                 module_count_schedule=schedule,
                 master_seed=period_seed,
-                workers=cfg.workers if cfg.workers > 1 else None,
+                workers=cfg.workers,
             )
             pdir.mkdir(exist_ok=True)
             for result in results:

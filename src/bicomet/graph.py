@@ -140,11 +140,11 @@ class BipartiteGraph:
             f"n_edges={self.n_edges})"
         )
 
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def __setstate__(self, state):
-        for name, value in state.items():
+        # pickled as (None, slots); unpickled arrays come back writeable
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             setattr(self, name, value)
 
 
@@ -324,14 +324,6 @@ def write_edge_list(graph: BipartiteGraph, path) -> None:
 def write_node_list(graph: BipartiteGraph, path) -> None:
     sides = [RED] * graph.n_red + [BLUE] * graph.n_blue
     write_columns(path, None, [graph.red_nodes + graph.blue_nodes, sides])
-
-
-def save_graph(graph: BipartiteGraph, edges_path, nodes_path=None) -> None:
-    """Serialize a graph; with a node list the round trip is exact (ordering
-    and isolated nodes included)."""
-    write_edge_list(graph, edges_path)
-    if nodes_path is not None:
-        write_node_list(graph, nodes_path)
 
 
 @dataclass(frozen=True)

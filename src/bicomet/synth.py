@@ -23,7 +23,7 @@ import numpy as np
 from .brim import Partition
 from .enrichment import REPORT_COLUMNS, AttributeCatalog
 from .errors import InputError
-from .graph import BLUE, RED, BipartiteGraph, PeriodGraphSeries, save_graph
+from .graph import BLUE, RED, BipartiteGraph, PeriodGraphSeries, write_edge_list, write_node_list
 from .seeding import (
     STREAM_SYNTH_CATALOG,
     STREAM_SYNTH_CHURN,
@@ -186,11 +186,6 @@ def _planted_memberships(model) -> tuple[np.ndarray, np.ndarray]:
     return red.astype(np.int64), blue.astype(np.int64)
 
 
-def _period_labels(periods: int) -> list[str]:
-    width = max(2, len(str(periods - 1)))
-    return [f"p{t:0{width}d}" for t in range(periods)]
-
-
 def _apply_churn(memberships, churn, alive, rng):
     red_m, blue_m = memberships
     if churn <= 0 or len(alive) < 2:
@@ -212,21 +207,18 @@ def _apply_churn(memberships, churn, alive, rng):
 
 
 def _apply_split(red_m, blue_m, event, next_id, rng):
-    moved_any = False
-    for side in (red_m, blue_m):
-        members = np.nonzero(side == event.community)[0]
-        if len(members) == 0:
-            continue
-        n_move = int(round(event.fraction * len(members)))
-        if n_move == 0:
-            continue
-        chosen = rng.choice(members, size=n_move, replace=False)
-        side[np.sort(chosen)] = next_id
-        moved_any = True
-    if not moved_any:
+    members = [np.nonzero(side == event.community)[0] for side in (red_m, blue_m)]
+    moves = [int(round(event.fraction * len(m))) for m in members]
+    if not any(moves):
         raise InputError(
-            f"split at period {event.period}: community {event.community} is empty"
+            f"split at period {event.period}: fraction {event.fraction} of community "
+            f"{event.community} ({len(members[0])} red, {len(members[1])} blue "
+            f"members) moves no node"
         )
+    for side, side_members, n_move in zip((red_m, blue_m), members, moves):
+        if n_move:
+            chosen = rng.choice(side_members, size=n_move, replace=False)
+            side[np.sort(chosen)] = next_id
 
 
 def generate_sequence(
@@ -240,7 +232,7 @@ def generate_sequence(
     partitions (labels compacted per period), and the true lineage edges in
     those per-period label spaces.
     """
-    labels = _period_labels(script.periods)
+    labels = _node_names("p", script.periods)
     red_m, blue_m = _planted_memberships(model)
     next_id = len(model.communities)
 
@@ -412,31 +404,27 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
             labels[j] = 0
 
 
-def _partition_chunks(n: int, chunk_size: int = 16384) -> Iterator[np.ndarray]:
+def _partition_chunks(n: int) -> Iterator[np.ndarray]:
     chunk = []
     for labels in set_partitions(n):
         chunk.append(labels)
-        if len(chunk) >= chunk_size:
+        if len(chunk) >= 16384:
             yield np.asarray(chunk, dtype=np.int64)
             chunk = []
     if chunk:
         yield np.asarray(chunk, dtype=np.int64)
 
 
-def exhaustive_modularity_oracle(
-    graph: BipartiteGraph, max_nodes: int = ENUMERATION_CAP
-) -> tuple[float, Partition]:
+def exhaustive_modularity_oracle(graph: BipartiteGraph) -> tuple[float, Partition]:
     """Maximum bipartite modularity over all set partitions of the nodes.
 
-    Enumerates every partition (Bell-number growth: capped at ``max_nodes``
-    total nodes) with exact integer scoring, so any heuristic's Q on the
-    same graph is comparable to the returned optimum without tolerance.
+    Enumerates every partition of at most ``ENUMERATION_CAP`` nodes (Bell-number
+    growth) with exact integer scoring, so any heuristic's Q on the same graph
+    is comparable to the returned optimum without tolerance.
     """
     n = graph.n_red + graph.n_blue
-    if n > max_nodes:
-        raise InputError(
-            f"{n} nodes exceed the enumeration cap of {max_nodes}"
-        )
+    if n > ENUMERATION_CAP:
+        raise InputError(f"{n} nodes exceed the enumeration cap of {ENUMERATION_CAP}")
     if graph.n_edges == 0:
         raise InputError("modularity undefined for a graph with no edges")
     m = graph.n_edges
@@ -510,7 +498,8 @@ def write_synthetic_dataset(
     for label, graph in series:
         edges_name = f"edges_{label}.csv"
         nodes_name = f"nodes_{label}.csv"
-        save_graph(graph, outdir / edges_name, outdir / nodes_name)
+        write_edge_list(graph, outdir / edges_name)
+        write_node_list(graph, outdir / nodes_name)
         manifest_rows.append([label, edges_name, nodes_name])
     manifest_path = outdir / "manifest.csv"
     write_rows(manifest_path, ["period", "edges", "nodes"], manifest_rows)

@@ -298,7 +298,6 @@ def export_evolution(graph: EvolutionGraph, fmt: str) -> str:
     """Serialize to DOT (node size attribute = log community size) or JSON."""
     if not graph.nodes:
         raise InputError("cannot export an empty evolution graph")
-    fmt = fmt.lower()
     if fmt == "dot":
         return _dot_export(graph)
     if fmt == "json":

@@ -627,6 +627,17 @@ class TestBrimConverge:
             result = brim_converge(g, random_partition(g, 5, rng))
             assert 0 not in result.partition.sizes()
 
+    def test_sweeps_stop_at_the_cap(self, monkeypatch):
+        g = pinned_graph()
+        init = random_partition(g, 20, np.random.default_rng(4))
+        assert brim_converge(g, init).iterations > 1
+        monkeypatch.setattr(brim, "MAX_SWEEPS", 1)
+        result = brim_converge(g, init)
+        assert result.iterations == 1
+        labels = result.partition.labels
+        assert brim._compact_labels(labels, g.id_rank)[0].tolist() == labels.tolist()
+        assert result.modularity == bipartite_modularity(g, result.partition)
+
 
 class TestMultirun:
     def test_returns_one_result_per_run(self):
@@ -675,6 +686,29 @@ class TestMultirun:
             brim_multirun(g, runs=0, restarts_per_run=1)
         with pytest.raises(ValueError):
             brim_multirun(g, runs=1, restarts_per_run=0)
+
+    def initial_counts(self, monkeypatch, graph, schedule):
+        """The community count of every restart's random start."""
+        counts = []
+        draw = brim.random_partition
+        monkeypatch.setattr(
+            brim, "random_partition", lambda g, c, rng: counts.append(c) or draw(g, c, rng)
+        )
+        brim_multirun(graph, runs=2, restarts_per_run=3, module_count_schedule=schedule)
+        return counts
+
+    def test_schedule_cycles_over_the_restarts_of_each_run(self, monkeypatch):
+        assert self.initial_counts(monkeypatch, pinned_graph(), [3, 5]) == [3, 5, 3] * 2
+
+    def test_no_schedule_starts_at_the_smaller_side(self, monkeypatch):
+        g = pinned_graph()
+        assert self.initial_counts(monkeypatch, g, None) == [min(g.n_red, g.n_blue)] * 6
+
+    @pytest.mark.parametrize("schedule", [[], [0]])
+    def test_rejects_bad_schedules(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            brim_multirun(pinned_graph(), runs=1, restarts_per_run=1,
+                          module_count_schedule=schedule)
 
     def test_best_result_breaks_ties_by_run_id(self):
         g = disjoint_bicliques(2, 1, 1)

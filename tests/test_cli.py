@@ -845,6 +845,22 @@ class TestCheckedBeforeWork:
         assert main(["synth", "--config", str(config)]) == 0
         assert "EE" in (tmp_path / "ds" / "attributes.csv").read_text()
 
+    @pytest.mark.parametrize("split, fraction", [("1:0:0.4", "0.4"), ("1:0", "0.5")])
+    def test_a_split_that_moves_no_node_is_named(
+        self, tmp_path, monkeypatch, capsys, dataset, split, fraction
+    ):
+        # round(fraction * 1) is 0 on both sides of a live community
+        monkeypatch.chdir(tmp_path)
+        config = write_section(
+            tmp_path, dataset, "synth", communities="1x1,3x3", periods="2", splits=split
+        )
+        assert main(["synth", "--config", str(config)]) == 1
+        assert (
+            f"split at period 1: fraction {fraction} of community 0 (1 red, 1 blue members) "
+            "moves no node" in capsys.readouterr().err
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
     def test_pipeline_checks_roots_before_ari_writes(
         self, tmp_path, monkeypatch, capsys, dataset
     ):

@@ -8,8 +8,8 @@ from bicomet.graph import (
     load_edge_list,
     load_node_list,
     load_period_series,
-    save_graph,
     write_edge_list,
+    write_node_list,
 )
 
 
@@ -134,7 +134,8 @@ class TestRoundTrip:
             red_nodes=["b2", "b1", "b9"],
             blue_nodes=["f1", "f3"],
         )
-        save_graph(g, tmp_path / "e.csv", tmp_path / "n.csv")
+        write_edge_list(g, tmp_path / "e.csv")
+        write_node_list(g, tmp_path / "n.csv")
         loaded = load_edge_list(tmp_path / "e.csv", node_list_path=tmp_path / "n.csv")
         assert loaded == g
 

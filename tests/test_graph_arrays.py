@@ -1,6 +1,8 @@
 """BipartiteGraph.from_indices, the string constructor and the edge-list loader
 against a dict/set oracle that interns and deduplicates edge by edge."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,22 @@ class TestFromIndices:
             assert array.dtype == np.int64
             with pytest.raises(ValueError):
                 array[0] = 5
+
+    def test_arrays_stay_read_only_through_pickling(self):
+        # worker processes get the graph pickled
+        graph = BipartiteGraph.from_indices(("r0", "r1"), ("b0",), [1, 0], [0, 0])
+        graph.id_rank
+        again = pickle.loads(pickle.dumps(graph))
+        assert again == graph
+        arrays = {
+            name: getattr(again, name)
+            for name in BipartiteGraph.__slots__
+            if isinstance(getattr(again, name), np.ndarray)
+        }
+        assert set(arrays) == {
+            "edge_red", "edge_blue", "red_degrees", "blue_degrees", "_id_rank"
+        }
+        assert not any(array.flags.writeable for array in arrays.values())
 
     def test_caller_arrays_are_not_kept(self):
         ri = np.array([0, 1], dtype=np.int64)

@@ -338,6 +338,11 @@ class TestExport:
         with pytest.raises(InputError, match="format"):
             export_evolution(self.make_chain(), "svg")
 
+    @pytest.mark.parametrize("fmt", ["DOT", "Json"])
+    def test_format_names_are_matched_exactly(self, fmt):
+        with pytest.raises(InputError, match="unsupported export format"):
+            export_evolution(self.make_chain(), fmt)
+
 
 BAD_INT = "invalid literal for int() with base 10:"
 LINK_HEADER = "period_t,comm_i,period_t1,comm_j,overlap,p_value,validated\n"
