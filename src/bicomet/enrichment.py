@@ -19,7 +19,7 @@ import numpy as np
 from .brim import Partition
 from .errors import InputError, _RowError
 from .stats import HypergeomParams, overlap_pvalue
-from .table import read_columns, write_rows
+from .table import read_columns, write_columns, write_rows
 
 SCOPE_CARRIERS = "carriers"
 SCOPE_SIDE = "side"
@@ -74,6 +74,17 @@ def load_attribute_catalog(path) -> AttributeCatalog:
         return AttributeCatalog(zip(*columns))
     except _RowError as exc:
         raise InputError(f"{path}:{lines[exc.row]}: {exc}") from exc
+
+
+def write_attribute_catalog(catalog: AttributeCatalog, path) -> None:
+    """Write the catalog as `node_id,category,value` rows with no header, by
+    category and then node id, for ``load_attribute_catalog`` to read back."""
+    rows = [
+        (node, category, value)
+        for category in catalog.categories
+        for node, value in sorted(catalog.assignments(category).items())
+    ]
+    write_columns(path, None, list(zip(*rows)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, _RowError
-from .table import gather, read_columns, read_rows, write_columns
+from .table import gather, read_columns, read_rows, write_columns, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -363,15 +363,16 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
 
     Relative paths resolve against the manifest's directory.  A first
     non-blank row whose first cell is "period", in any case, is a header.
-    Raises InputError at ``manifest:line`` on a row of another width or with
-    an empty period label.
+    Every row is checked before any edge file is read: a row of another
+    width, an empty period label, or a label not above the one before it
+    raises InputError at ``manifest:line``.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     rows = list(read_rows(manifest_path, header=("period",)))
     if not rows:
         raise InputError(f"empty manifest: {manifest_path}")
-    periods = []
+    previous = None
     for lineno, cells in rows:
         if len(cells) not in (2, 3):
             raise InputError(
@@ -380,8 +381,31 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
         label = cells[0]
         if not label:
             raise InputError(f"{manifest_path}:{lineno}: empty period label")
-        edges_path = base / cells[1]
+        if previous is not None and not previous < label:
+            raise InputError(
+                f"{manifest_path}:{lineno}: period labels must be strictly "
+                f"increasing: {previous!r} >= {label!r}"
+            )
+        previous = label
+    periods = []
+    for _, cells in rows:
         nodes_path = base / cells[2] if len(cells) == 3 and cells[2] else None
-        graph = load_edge_list(edges_path, node_list_path=nodes_path)
-        periods.append((label, graph))
+        periods.append((cells[0], load_edge_list(base / cells[1], node_list_path=nodes_path)))
     return PeriodGraphSeries(tuple(periods))
+
+
+def write_period_series(series: PeriodGraphSeries, outdir) -> Path:
+    """Write every period's edge and node lists, and a manifest naming them,
+    into ``outdir`` (created when missing); returns the manifest path, from
+    which ``load_period_series`` reads the same series back."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for label, graph in series:
+        edges, nodes = f"edges_{label}.csv", f"nodes_{label}.csv"
+        write_edge_list(graph, outdir / edges)
+        write_node_list(graph, outdir / nodes)
+        rows.append([label, edges, nodes])
+    manifest = outdir / "manifest.csv"
+    write_rows(manifest, ["period", "edges", "nodes"], rows)
+    return manifest

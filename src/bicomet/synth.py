@@ -14,16 +14,16 @@ All randomness flows through counter-based Philox streams keyed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .brim import Partition
-from .enrichment import REPORT_COLUMNS, AttributeCatalog
+from .enrichment import REPORT_COLUMNS, AttributeCatalog, write_attribute_catalog
 from .errors import InputError
-from .graph import BLUE, RED, BipartiteGraph, PeriodGraphSeries, write_edge_list, write_node_list
+from .graph import BLUE, RED, BipartiteGraph, PeriodGraphSeries, write_period_series
 from .seeding import (
     STREAM_SYNTH_CATALOG,
     STREAM_SYNTH_CHURN,
@@ -177,37 +177,43 @@ def _draw_edges(model, red_membership, blue_membership, rng) -> BipartiteGraph:
 
 
 def _planted_memberships(model) -> tuple[np.ndarray, np.ndarray]:
-    red = np.repeat(
-        np.arange(len(model.communities)), [r for r, _ in model.communities]
-    )
-    blue = np.repeat(
-        np.arange(len(model.communities)), [b for _, b in model.communities]
-    )
-    return red.astype(np.int64), blue.astype(np.int64)
+    sizes = np.array(model.communities).T
+    ids = np.arange(sizes.shape[1])
+    return np.repeat(ids, sizes[0]), np.repeat(ids, sizes[1])
 
 
-def _apply_churn(memberships, churn, alive, rng):
-    red_m, blue_m = memberships
+def _apply_churn(red_m, blue_m, churn, rng):
+    """New memberships in which each node has moved, with probability
+    ``churn``, to a uniformly random other alive community."""
+    alive = np.union1d(red_m, blue_m)
     if churn <= 0 or len(alive) < 2:
         return red_m, blue_m
-    alive_arr = np.asarray(sorted(alive), dtype=np.int64)
     out = []
     for side in (red_m, blue_m):
         side = side.copy()
-        mask = rng.random(len(side)) < churn
-        idx = np.nonzero(mask)[0]
-        if len(idx):
-            # uniform over the other alive communities: draw an offset in
-            # [1, n_alive) and rotate from the node's current community
-            current_pos = np.searchsorted(alive_arr, side[idx])
-            offsets = rng.integers(1, len(alive_arr), size=len(idx))
-            side[idx] = alive_arr[(current_pos + offsets) % len(alive_arr)]
+        idx = np.flatnonzero(rng.random(len(side)) < churn)
+        # uniform over the other alive communities: draw an offset in
+        # [1, n_alive) and rotate from the node's current community
+        offsets = rng.integers(1, len(alive), size=len(idx))
+        side[idx] = alive[(np.searchsorted(alive, side[idx]) + offsets) % len(alive)]
         out.append(side)
-    return out[0], out[1]
+    return tuple(out)
 
 
-def _apply_split(red_m, blue_m, event, next_id, rng):
-    members = [np.nonzero(side == event.community)[0] for side in (red_m, blue_m)]
+def _apply_event(red_m, blue_m, event, next_id, rng) -> tuple[int, int]:
+    """Apply a split (to the new community ``next_id``) or a merge to the
+    memberships in place; returns the lineage move (from, to) in stable ids."""
+    alive = np.union1d(red_m, blue_m)
+    if isinstance(event, MergeEvent):
+        for role, community in (("source", event.source), ("target", event.target)):
+            if community not in alive:
+                raise InputError(f"merge at period {event.period}: {role} {community} not alive")
+        for side in (red_m, blue_m):
+            side[side == event.source] = event.target
+        return event.source, event.target
+    if event.community not in alive:
+        raise InputError(f"split at period {event.period}: community {event.community} not alive")
+    members = [np.flatnonzero(side == event.community) for side in (red_m, blue_m)]
     moves = [int(round(event.fraction * len(m))) for m in members]
     if not any(moves):
         raise InputError(
@@ -217,8 +223,8 @@ def _apply_split(red_m, blue_m, event, next_id, rng):
         )
     for side, side_members, n_move in zip((red_m, blue_m), members, moves):
         if n_move:
-            chosen = rng.choice(side_members, size=n_move, replace=False)
-            side[np.sort(chosen)] = next_id
+            side[np.sort(rng.choice(side_members, size=n_move, replace=False))] = next_id
+    return event.community, next_id
 
 
 def generate_sequence(
@@ -230,86 +236,41 @@ def generate_sequence(
     random other community and scripted events split or merge communities.
     Edges are redrawn each period.  Returns the per-period graphs, the true
     partitions (labels compacted per period), and the true lineage edges in
-    those per-period label spaces.
+    those per-period label spaces: a community alive in consecutive periods
+    links to itself, and every event links its source to its result.
     """
     labels = _node_names("p", script.periods)
     red_m, blue_m = _planted_memberships(model)
     next_id = len(model.communities)
-
-    periods = []
-    truths = []
-    lineage = []
-    prev_dense: dict[int, int] = {}
-    prev_label = None
-
+    periods, truths, lineage = [], [], []
     for t, label in enumerate(labels):
-        split_targets: list[tuple[int, int]] = []
-        merge_moves: list[tuple[int, int]] = []
+        moves = []
         if t > 0:
-            alive = set(red_m.tolist()) | set(blue_m.tolist())
-            rng_churn = generator(model.seed, STREAM_SYNTH_CHURN, t)
-            red_m, blue_m = _apply_churn((red_m, blue_m), script.churn, alive, rng_churn)
+            red_m, blue_m = _apply_churn(
+                red_m, blue_m, script.churn, generator(model.seed, STREAM_SYNTH_CHURN, t)
+            )
             rng_events = generator(model.seed, STREAM_SYNTH_EVENTS, t)
             for event in script.events:
-                if event.period != t:
-                    continue
-                current = set(red_m.tolist()) | set(blue_m.tolist())
-                if isinstance(event, SplitEvent):
-                    if event.community not in current:
-                        raise InputError(
-                            f"split at period {t}: community {event.community} not alive"
-                        )
-                    _apply_split(red_m, blue_m, event, next_id, rng_events)
-                    split_targets.append((event.community, next_id))
-                    next_id += 1
-                else:
-                    if event.source not in current:
-                        raise InputError(
-                            f"merge at period {t}: source {event.source} not alive"
-                        )
-                    if event.target not in current:
-                        raise InputError(
-                            f"merge at period {t}: target {event.target} not alive"
-                        )
-                    red_m[red_m == event.source] = event.target
-                    blue_m[blue_m == event.source] = event.target
-                    merge_moves.append((event.source, event.target))
-
-        alive_now = sorted(set(red_m.tolist()) | set(blue_m.tolist()))
-        dense = {stable: i for i, stable in enumerate(alive_now)}
-        red_dense = np.searchsorted(alive_now, red_m)
-        blue_dense = np.searchsorted(alive_now, blue_m)
-
-        rng_edges = generator(model.seed, STREAM_SYNTH_EDGES, t)
-        graph = _draw_edges(model, red_m, blue_m, rng_edges)
-        truth = Partition(
-            graph.red_nodes, graph.blue_nodes, red_dense, blue_dense, len(alive_now)
-        )
+                if event.period == t:
+                    moves.append(_apply_event(red_m, blue_m, event, next_id, rng_events))
+                    next_id += isinstance(event, SplitEvent)
+        alive = np.union1d(red_m, blue_m)
+        graph = _draw_edges(model, red_m, blue_m, generator(model.seed, STREAM_SYNTH_EDGES, t))
         periods.append((label, graph))
-        truths.append(truth)
-
+        truths.append(Partition(
+            graph.red_nodes, graph.blue_nodes,
+            np.searchsorted(alive, red_m), np.searchsorted(alive, blue_m), len(alive),
+        ))
+        # stable community id -> label in this period
+        now = {stable: i for i, stable in enumerate(alive.tolist())}
         if t > 0:
-            raw_edges = set()
-            for stable in alive_now:
-                if stable in prev_dense:
-                    raw_edges.add((prev_dense[stable], dense[stable]))
-            for parent, child in split_targets:
-                if parent in prev_dense and child in dense:
-                    raw_edges.add((prev_dense[parent], dense[child]))
-            for source, target in merge_moves:
-                if source in prev_dense and target in dense:
-                    raw_edges.add((prev_dense[source], dense[target]))
-            for i, j in sorted(raw_edges):
-                lineage.append(
-                    LineageEdge(
-                        period_from=prev_label,
-                        community_from=i,
-                        period_to=label,
-                        community_to=j,
-                    )
-                )
-        prev_dense, prev_label = dense, label
-
+            pairs = {
+                (prev[a], now[b])
+                for a, b in [*((s, s) for s in now), *moves]
+                if a in prev and b in now
+            }
+            lineage += [LineageEdge(labels[t - 1], i, label, j) for i, j in sorted(pairs)]
+        prev = now
     return PeriodGraphSeries(tuple(periods)), tuple(truths), tuple(lineage)
 
 
@@ -405,13 +366,8 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _partition_chunks(n: int) -> Iterator[np.ndarray]:
-    chunk = []
-    for labels in set_partitions(n):
-        chunk.append(labels)
-        if len(chunk) >= 16384:
-            yield np.asarray(chunk, dtype=np.int64)
-            chunk = []
-    if chunk:
+    partitions = set_partitions(n)
+    while chunk := list(islice(partitions, 16384)):
         yield np.asarray(chunk, dtype=np.int64)
 
 
@@ -489,28 +445,16 @@ def write_synthetic_dataset(
 ) -> Path:
     """Write a complete loadable dataset; returns the manifest path.
 
-    Emits per-period edge and node lists, a manifest, ground truth and
-    lineage CSVs, and the attribute catalog when given.
+    Emits the period series (edge and node lists and a manifest), ground
+    truth and lineage CSVs, and the attribute catalog when given; without
+    one, an ``attributes.csv`` left by an earlier dataset is deleted.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest_rows = []
-    for label, graph in series:
-        edges_name = f"edges_{label}.csv"
-        nodes_name = f"nodes_{label}.csv"
-        write_edge_list(graph, outdir / edges_name)
-        write_node_list(graph, outdir / nodes_name)
-        manifest_rows.append([label, edges_name, nodes_name])
-    manifest_path = outdir / "manifest.csv"
-    write_rows(manifest_path, ["period", "edges", "nodes"], manifest_rows)
-    write_ground_truth(truths, list(series.labels), outdir / "ground_truth.csv")
+    manifest = write_period_series(series, outdir)
+    write_ground_truth(truths, series.labels, outdir / "ground_truth.csv")
     write_lineage(lineage, outdir / "lineage.csv")
-    if catalog is not None:
-        nodes, categories, values = [], [], []
-        for category in catalog.categories:
-            assigned = sorted(catalog.assignments(category).items())
-            nodes += map(itemgetter(0), assigned)
-            categories += [category] * len(assigned)
-            values += map(itemgetter(1), assigned)
-        write_columns(outdir / "attributes.csv", None, [nodes, categories, values])
-    return manifest_path
+    if catalog is None:
+        (outdir / "attributes.csv").unlink(missing_ok=True)
+    else:
+        write_attribute_catalog(catalog, outdir / "attributes.csv")
+    return manifest

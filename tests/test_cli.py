@@ -82,6 +82,20 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(config)]) == 0
         assert tree_bytes(tmp_path / "data") == first
 
+    def test_rerun_without_categories_removes_the_catalog(self, tmp_path, monkeypatch):
+        # a pipeline whose attributes key names the old catalog would enrich
+        # against another model's plants
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "synth.ini"
+        config.write_text("[synth]\noutput_dir = data\ncategories = sector:blue:A|B\n")
+        assert main(["synth", "--config", str(config)]) == 0
+        assert (tmp_path / "data" / "attributes.csv").exists()
+        config.write_text("[synth]\noutput_dir = data\n")
+        assert main(["synth", "--config", str(config)]) == 0
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+            "edges_p00.csv", "ground_truth.csv", "lineage.csv", "manifest.csv", "nodes_p00.csv"
+        ]
+
 
 class TestDetectCommand:
     def test_outputs(self, workspace):
@@ -761,6 +775,9 @@ class TestMalformedConfig:
             ("synth", "plants", "a:b:c:0.5", "'a:b:c:0.5'"),
             ("synth", "plants", "a:b:0:zz", "'a:b:0:zz'"),
             ("synth", "communities", "5x", "'5x'"),
+            ("synth", "communities", ",", "bad communities ',': no entries, expected REDxBLUE"),
+            ("synth", "splits", "1:0:1.5",
+             "bad splits entry '1:0:1.5': split fraction must be in (0, 1), got 1.5"),
             ("synth", "categories", "region:red:R0|R1;region:blue:B0|B1",
              "category 'region' planned twice"),
             ("synth", "categories", "sector:blue:A|B;n_blue:blue:C",

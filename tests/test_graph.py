@@ -164,6 +164,18 @@ class TestPeriodSeries:
         with pytest.raises(InputError, match="strictly increasing"):
             load_period_series(manifest)
 
+    def test_label_order_is_checked_before_any_edge_file(self, tmp_path):
+        # bad.csv is malformed, but the manifest's own fault is found first
+        (tmp_path / "bad.csv").write_text("b1,f1\nb2\n")
+        (tmp_path / "ok.csv").write_text("b1,f1\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("period,edges\np00,bad.csv\np02,ok.csv\np01,ok.csv\n")
+        with pytest.raises(InputError) as info:
+            load_period_series(manifest)
+        assert str(info.value) == (
+            f"{manifest}:4: period labels must be strictly increasing: 'p02' >= 'p01'"
+        )
+
     def test_duplicate_labels_rejected(self):
         g = complete(1, 1)
         with pytest.raises(InputError):

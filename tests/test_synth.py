@@ -148,6 +148,31 @@ class TestGenerateSequence:
         with pytest.raises(InputError, match="not alive"):
             generate_sequence(self.base_model(), script)
 
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (MergeEvent(period=1, source=7, target=0), "merge at period 1: source 7 not alive"),
+            (MergeEvent(period=1, source=0, target=7), "merge at period 1: target 7 not alive"),
+        ],
+    )
+    def test_merge_of_a_dead_community_names_it(self, event, message):
+        script = TemporalScript(periods=3, events=(event,))
+        with pytest.raises(InputError) as info:
+            generate_sequence(self.base_model(), script)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (SplitEvent(period=3, community=0), "event period 3 outside [1, 3)"),
+            ("x", "unknown event type: 'x'"),
+        ],
+    )
+    def test_script_rejects_bad_events(self, event, message):
+        with pytest.raises(InputError) as info:
+            TemporalScript(periods=3, events=(event,))
+        assert str(info.value) == message
+
     def test_determinism(self):
         script = TemporalScript(periods=3, churn=0.05)
         a = generate_sequence(self.base_model(7), script)
