@@ -521,7 +521,12 @@ def read_partition_csv(path) -> Partition:
         faulty = min(labels, default=0) < 0
     except ValueError:
         faulty = True
-    if faulty or len(set(nodes)) < len(nodes) or not {RED, BLUE}.issuperset(sides):
+    if (
+        faulty
+        or "" in nodes
+        or len(set(nodes)) < len(nodes)
+        or not {RED, BLUE}.issuperset(sides)
+    ):
         # the first faulty row, its faults checked in the order a row is read
         seen = set()
         for line, node, side, cell in zip(lines.tolist(), nodes, sides, cells):
@@ -531,6 +536,8 @@ def read_partition_csv(path) -> Partition:
                 raise InputError(f"{path}:{line}: bad community {cell!r}") from None
             if label < 0:
                 raise InputError(f"{path}:{line}: negative community {label}")
+            if not node:
+                raise InputError(f"{path}:{line}: empty node identifier")
             if node in seen:
                 raise InputError(f"{path}:{line}: node {node!r} listed twice")
             seen.add(node)

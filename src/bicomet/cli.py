@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import brim, enrichment, metrics, synth, table, tracker
+from . import brim, enrichment, metrics, stats, synth, table, tracker
 from .errors import InputError
 from .graph import load_period_series
 from .seeding import STREAM_DETECT_PERIOD, derive_seed
@@ -408,7 +408,7 @@ def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
         all_rows.extend(enrichment.community_report(partition, records, period))
         # one test per value and community: the record count is the
         # Bonferroni divisor of the period
-        thresholds.append(config.p_univariate / len(records))
+        thresholds.append(stats.bonferroni_threshold(config.p_univariate, len(records)))
     enrichment.write_enrichment_records(all_records, out / "enrichment_records.csv")
     enrichment.write_enrichment_report(all_rows, out / "enrichment_report.csv")
     validated = sum(1 for record in all_records if record.validated)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .brim import Partition
 from .errors import InputError, _RowError
-from .stats import HypergeomParams, overlap_pvalue
+from .stats import bonferroni_threshold, overlap_tests
 from .table import read_columns, write_columns, write_rows
 
 SCOPE_CARRIERS = "carriers"
@@ -135,7 +135,7 @@ def enrichment_threshold(p_univariate: float, *counts: int) -> float:
         raise InputError("zero total attribute values")
     if not 0.0 < p_univariate <= 1.0:
         raise InputError(f"p_univariate must be in (0, 1], got {p_univariate}")
-    return p_univariate / (total_values * n_communities)
+    return bonferroni_threshold(p_univariate, total_values * n_communities)
 
 
 def test_overexpression(
@@ -183,34 +183,29 @@ def test_overexpression(
             population = labels[:n_red] if on_red[0] else labels[n_red:]
         n_values = len(values)
         value_counts.append(n_values)
-        x = np.bincount(community * n_values + value_ids, minlength=c * n_values)
         m = np.bincount(value_ids, minlength=n_values).tolist()
         k = np.bincount(population, minlength=c).tolist()
-        prepared.append(
-            (category, values, x.reshape(c, n_values).tolist(), m, k, population.size)
-        )
+        x, p = overlap_tests(value_ids, community, m, k, population.size)
+        prepared.append((category, values, x, p, m, k, population.size))
 
     threshold = enrichment_threshold(config.p_univariate, *value_counts, c)
 
     records = []
     for community in range(c):
-        for category, values, x, m, k, population in prepared:
+        for category, values, x, p, m, k, population in prepared:
             for j, value in enumerate(values):
-                p = overlap_pvalue(
-                    x[community][j], HypergeomParams(population, m[j], k[community])
-                )
                 records.append(
                     EnrichmentRecord(
                         community=community,
                         period=period,
                         category=category,
                         value=value,
-                        count_in_community=x[community][j],
+                        count_in_community=x[j][community],
                         community_population=k[community],
                         global_count=m[j],
                         global_population=population,
-                        p_value=p,
-                        validated=p < threshold,
+                        p_value=p[j][community],
+                        validated=p[j][community] < threshold,
                     )
                 )
     return records

@@ -1,7 +1,8 @@
 """Numerically stable combinatorics and hypergeometric tail probabilities.
 
 The temporal tracker and the attribute enrichment test both reduce to upper
-tails of a hypergeometric distribution.  Those tails routinely sit far below
+tails of a hypergeometric distribution, and both run them through
+``overlap_tests`` over one cross-tabulation.  Those tails routinely sit far below
 the Bonferroni thresholds they are compared against (1e-7 and smaller).  A
 tail is one log-space pmf anchor at its first term times a sum of terms
 relative to that anchor, each obtained from the previous one by the pmf
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Below this cutoff for min(k, n-k) the binomial coefficient is evaluated
 # exactly as a big integer; math.log of an int is correctly rounded, so the
@@ -133,6 +136,30 @@ def overlap_pvalue(n_overlap: int, params: HypergeomParams) -> float:
     tail = math.exp(anchor + math.log(math.fsum(terms)))
     p = tail if upper else 1.0 - tail
     return min(max(p, 0.0), 1.0)
+
+
+def overlap_tests(rows, cols, marked, drawn, population: int):
+    """(overlaps, p_values) of the cross-tabulation of ``rows`` against
+    ``cols``, two int arrays of one label per item, as ``len(marked)`` by
+    ``len(drawn)`` nested lists.
+
+    Cell (i, j) counts the items labelled i and j; its p-value is
+    ``overlap_pvalue`` of that count in a population of ``population`` items
+    with ``marked[i]`` marked and ``drawn[j]`` drawn.  An empty cell gets
+    exactly 1, with no kernel call.
+    """
+    n_rows, n_cols = len(marked), len(drawn)
+    overlaps = np.bincount(
+        rows * n_cols + cols, minlength=n_rows * n_cols
+    ).reshape(n_rows, n_cols).tolist()
+    p_values = [
+        [
+            overlap_pvalue(x, HypergeomParams(population, m, k)) if x else 1.0
+            for x, k in zip(row, drawn)
+        ]
+        for row, m in zip(overlaps, marked)
+    ]
+    return overlaps, p_values
 
 
 def bonferroni_threshold(p_univariate: float, n_tests: int) -> float:

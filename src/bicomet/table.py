@@ -1,9 +1,10 @@
 """The CSV format of every table bicomet reads or writes.
 
 Files are utf-8 and comma-separated with "\\n" line ends; no reader or
-writer takes another format.  ``read_rows`` skips blank rows and a header,
-strips every cell and numbers the lines, so each caller only applies its
-own field checks and reports a bad row as ``path:line``.  The header is the
+writer takes another format, but a reader skips the utf-8 byte-order mark
+that spreadsheet exports put first.  ``read_rows`` skips blank rows and a
+header, strips every cell and numbers the lines, so each caller only applies
+its own field checks and reports a bad row as ``path:line``.  The header is the
 first non-blank row when its first cells are the names the caller gives, in
 any case, whatever its width; edge and node lists give none.
 ``read_columns`` applies the same rules to a table of fixed width, checks
@@ -24,6 +25,7 @@ goes through ``csv.reader``, and a table whose cells need quoting through
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from itertools import chain, compress
@@ -35,11 +37,11 @@ from .errors import InputError
 
 
 def _read(path) -> tuple[bytes, str]:
-    """The bytes of the file at ``path`` and their utf-8 text; InputError at
-    ``path:line`` when they are not utf-8."""
+    """The bytes of the file at ``path`` after any utf-8 byte-order mark, and
+    their utf-8 text; InputError at ``path:line`` when they are not utf-8."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .brim import Partition
 from .errors import InputError
-from .stats import HypergeomParams, bonferroni_threshold, overlap_pvalue
+from .stats import bonferroni_threshold, overlap_tests
 from .table import BOOL_CELLS, read_columns, write_rows
 
 POPULATION_UNION = "union"
@@ -116,20 +116,10 @@ def _test_pair(shared, sizes, population, threshold, period_from, period_to):
                     f"community {label} of {period} has {size} members, "
                     f"exceeding population {population}"
                 )
-    (labels_from, labels_to), (sizes_from, sizes_to) = shared, sizes
-    c_from, c_to = len(sizes_from), len(sizes_to)
-    overlaps = np.bincount(
-        labels_from * c_to + labels_to, minlength=c_from * c_to
-    ).reshape(c_from, c_to).tolist()
+    overlaps, p_values = overlap_tests(*shared, *sizes, population)
     links = []
-    for gi in range(c_from):
-        for gj in range(c_to):
-            n_ij = overlaps[gi][gj]
-            if n_ij == 0:
-                p = 1.0
-            else:
-                params = HypergeomParams(population, sizes_from[gi], sizes_to[gj])
-                p = overlap_pvalue(n_ij, params)
+    for gi, (row_overlaps, row_p_values) in enumerate(zip(overlaps, p_values)):
+        for gj, (n_ij, p) in enumerate(zip(row_overlaps, row_p_values)):
             links.append(
                 TemporalLink(
                     period_from=period_from,

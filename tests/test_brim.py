@@ -874,6 +874,10 @@ class TestPartitionCsv:
             ("r0,red,0\nr0,purple,x\n", "2: bad community 'x'"),
             ("r0,red,0\nr0,purple,-1\n", "2: negative community -1"),
             ("r0,red,0\nr0,purple,0\n", "2: node 'r0' listed twice"),
+            # an empty node id, after the label checks and before the side
+            ("r0,red,0\n,red,0\n", "2: empty node identifier"),
+            (",purple,0\n,red,0\n", "1: empty node identifier"),
+            ("r0,red,0\n,blue,x\n", "2: bad community 'x'"),
         ],
     )
     def test_first_fault_is_reported(self, tmp_path, text, message):

@@ -120,6 +120,19 @@ class TestLoading:
         assert g.red_nodes == ("b1", "b2")
         assert list(g.red_degrees) == [1, 0]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with the utf-8 byte-order mark
+        tables = {"edges": "r0,b0\nr1,b0\n", "nodes": "r0,red\nr1,red\nb0,blue\n"}
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            (tmp_path / f"{name}_bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain = load_edge_list(tmp_path / "edges.csv", node_list_path=tmp_path / "nodes.csv")
+        marked = load_edge_list(
+            tmp_path / "edges_bom.csv", node_list_path=tmp_path / "nodes_bom.csv"
+        )
+        assert marked == plain
+        assert marked.red_nodes == ("r0", "r1")
+
     def test_node_list_bad_side(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("b1,purple\n")

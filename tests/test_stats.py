@@ -308,6 +308,47 @@ class TestOverlapPvalue:
             assert overlap_pvalue(x, params) == pytest.approx(exact, rel=1e-10)
 
 
+class TestOverlapTests:
+    def test_cells_equal_the_per_cell_kernel(self, monkeypatch):
+        calls = []
+
+        def counted(x, params):
+            calls.append((x, params))
+            return overlap_pvalue(x, params)
+
+        monkeypatch.setattr(stats, "overlap_pvalue", counted)
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            n_rows, n_cols = (int(v) for v in rng.integers(1, 7, size=2))
+            n_items = int(rng.integers(0, 60))
+            rows = rng.integers(0, n_rows, size=n_items)
+            cols = rng.integers(0, n_cols, size=n_items)
+            marked = np.bincount(rows, minlength=n_rows).tolist()
+            drawn = np.bincount(cols, minlength=n_cols).tolist()
+            population = n_items + int(rng.integers(0, 20))
+            calls.clear()
+            overlaps, p_values = stats.overlap_tests(
+                rows, cols, marked, drawn, population
+            )
+            expected = [[0] * n_cols for _ in range(n_rows)]
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                expected[i][j] += 1
+            assert overlaps == expected
+            for i in range(n_rows):
+                for j in range(n_cols):
+                    x = expected[i][j]
+                    p = overlap_pvalue(
+                        x, HypergeomParams(population, marked[i], drawn[j])
+                    )
+                    assert p_values[i][j] == p, (i, j)
+                    if not x:
+                        assert p_values[i][j] == 1.0
+            # one kernel call per non-empty cell, none for an empty one
+            nonzero = sum(1 for row in expected for x in row if x)
+            assert len(calls) == nonzero
+            assert all(x > 0 for x, _ in calls)
+
+
 class TestBonferroni:
     def test_basic_division(self):
         assert bonferroni_threshold(0.01, 1) == 0.01

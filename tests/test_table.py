@@ -288,6 +288,19 @@ class TestReadFaults:
         with pytest.raises(InputError, match=r"edges\.csv:2: not utf-8"):
             list(read_rows(path))
 
+    def test_byte_order_mark_is_not_a_cell(self, tmp_path):
+        path = tmp_path / "part.csv"
+        for body in (b"node_id,side\nr0,red\n", b'node_id,side\n"r0",red\n'):
+            path.write_bytes(b"\xef\xbb\xbf" + body)
+            lines, columns = read_columns(path, 2, header=("node_id",))
+            assert lines.tolist() == [2]
+            assert columns == [["r0"], ["red"]]
+            assert list(read_rows(path, header=("node_id",))) == [(2, ["r0", "red"])]
+        # a bad byte after the mark is still named at its line
+        path.write_bytes(b"\xef\xbb\xbfa,b\nc,\xff\n")
+        with pytest.raises(InputError, match=r"part\.csv:2: not utf-8"):
+            read_columns(path, 2)
+
     def test_oversized_quoted_cell_names_its_line(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text('a,b\nc,"' + "x" * 140_000 + '"\n')

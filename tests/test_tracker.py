@@ -208,7 +208,7 @@ class TestBuildEvolutionGraph:
         def untested(*args, **kwargs):
             raise AssertionError("links tested again")
 
-        monkeypatch.setattr(tracker_mod, "overlap_pvalue", untested)
+        monkeypatch.setattr(tracker_mod, "overlap_tests", untested)
         assert build_evolution_graph(seq, config, roots=roots, tracked=tracked) == expected
 
     def test_missing_root_rejected(self):
