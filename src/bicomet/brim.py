@@ -502,23 +502,33 @@ def best_result(results: list[RunResult]) -> RunResult:
     return max(results, key=lambda r: (r.modularity, -r.run_id))
 
 
-def write_partition_csv(partition: Partition, path) -> None:
-    """Write `node_id,side,community` rows (red nodes first), with header."""
-    sides = [RED] * len(partition.red_nodes) + [BLUE] * len(partition.blue_nodes)
-    labels = int_cells(partition.labels)
-    write_columns(path, ["node_id", "side", "community"], [partition.nodes, sides, labels])
+def write_partition_csv(partitions, names, path) -> None:
+    """Write `node_id,side,<names...>` rows (red nodes first), with header:
+    one label column per partition, named by ``names``.
 
-
-def read_partition_csv(path) -> Partition:
-    """Read a partition file; InputError with file:line on a malformed row.
-
-    Every label must lie below the file's node count, as in any compact
-    partition, so no table indexed by label outgrows the partition.
+    Every partition must hold the first one's nodes in its order.
     """
-    lines, (nodes, sides, cells) = read_columns(path, 3, header=("node_id",))
+    first = partitions[0]
+    if any(p.red_nodes != first.red_nodes or p.blue_nodes != first.blue_nodes
+           for p in partitions):
+        raise ValueError("partitions of one table must hold the same nodes in one order")
+    sides = [RED] * len(first.red_nodes) + [BLUE] * len(first.blue_nodes)
+    labels = [int_cells(p.labels) for p in partitions]
+    write_columns(path, ["node_id", "side", *names], [first.nodes, sides, *labels])
+
+
+def read_partition_csv(path, width: int) -> list[Partition]:
+    """The partitions of the ``width`` label columns of a partition table, in
+    column order; InputError with file:line on a malformed row.
+
+    Every label must lie below the table's node count, as in any compact
+    partition, so no table indexed by label outgrows the partition.  The
+    partitions share one tuple of red and one of blue node ids.
+    """
+    lines, (nodes, sides, *columns) = read_columns(path, 2 + width, header=("node_id",))
     try:
-        labels = list(map(int, cells))
-        faulty = min(labels, default=0) < 0
+        labels = [list(map(int, cells)) for cells in columns]
+        faulty = min((min(column, default=0) for column in labels), default=0) < 0
     except ValueError:
         faulty = True
     if (
@@ -529,13 +539,14 @@ def read_partition_csv(path) -> Partition:
     ):
         # the first faulty row, its faults checked in the order a row is read
         seen = set()
-        for line, node, side, cell in zip(lines.tolist(), nodes, sides, cells):
-            try:
-                label = int(cell)
-            except ValueError:
-                raise InputError(f"{path}:{line}: bad community {cell!r}") from None
-            if label < 0:
-                raise InputError(f"{path}:{line}: negative community {label}")
+        for line, node, side, *cells in zip(lines.tolist(), nodes, sides, *columns):
+            for cell in cells:
+                try:
+                    label = int(cell)
+                except ValueError:
+                    raise InputError(f"{path}:{line}: bad community {cell!r}") from None
+                if label < 0:
+                    raise InputError(f"{path}:{line}: negative community {label}")
             if not node:
                 raise InputError(f"{path}:{line}: empty node identifier")
             if node in seen:
@@ -545,17 +556,19 @@ def read_partition_csv(path) -> Partition:
                 raise InputError(f"{path}:{line}: unknown side {side!r}")
     if not nodes:
         raise InputError(f"empty partition file: {path}")
-    top = max(labels)
-    if top >= len(nodes):
-        raise InputError(
-            f"{path}:{lines[labels.index(top)]}: community {top} is not below "
-            f"the node count {len(nodes)}"
-        )
+    for column in labels:
+        top = max(column)
+        if top >= len(nodes):
+            raise InputError(
+                f"{path}:{lines[column.index(top)]}: community {top} is not below "
+                f"the node count {len(nodes)}"
+            )
     is_red = np.fromiter(map(RED.__eq__, sides), bool, len(sides))
-    labels = np.array(labels, dtype=np.int64)
-    return Partition(
-        compress(nodes, is_red), compress(nodes, ~is_red), labels[is_red], labels[~is_red], top + 1
-    )
+    red, blue = tuple(compress(nodes, is_red)), tuple(compress(nodes, ~is_red))
+    return [
+        Partition(red, blue, column[is_red], column[~is_red], column.max() + 1)
+        for column in np.array(labels, dtype=np.int64)
+    ]
 
 
 def run_summary(results: list[RunResult]) -> list[dict]:

@@ -101,6 +101,8 @@ def _entries(key, text, form, *types, sep=",", field_sep=":", optional=0, build=
 def _load_config(path, section: str, cls):
     values = {}
     if path:
+        if "\0" in path:
+            raise InputError(f"config file {path!r} holds a NUL byte")
         parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path, encoding="utf-8")
@@ -116,7 +118,7 @@ def _load_config(path, section: str, cls):
     unknown = set(values) - known
     if unknown:
         raise InputError(
-            f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
+            f"unknown key(s) in [{section}] of {path}: {', '.join(sorted(unknown))}"
         )
     cfg = cls()
     for key, raw in values.items():
@@ -128,19 +130,29 @@ def _load_config(path, section: str, cls):
     return cfg
 
 
-def _apply_overrides(cfg, args):
-    """Set every config field whose flag was given: the flag's dest names it."""
+# the config keys that name a file or directory
+_PATH_KEYS = ("manifest", "attributes", "output_dir")
+
+
+def _configured(args, section: str, cls):
+    """The ``section`` config of ``args.config`` with every flag given set
+    over its key (the flag's dest names it).  A path-valued key that holds a
+    NUL byte, which no file name can, is rejected by name."""
+    cfg = _load_config(args.config, section, cls)
     for f in fields(cfg):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+    for key in _PATH_KEYS:
+        if "\0" in getattr(cfg, key, ""):
+            raise InputError(f"bad {key} {getattr(cfg, key)!r}: holds a NUL byte")
     return cfg
 
 
 def _resolve_pipeline_config(args) -> PipelineConfig:
     """The [pipeline] config with its flags applied and every value checked,
     so that no command fails on a config value after it has started writing."""
-    cfg = _apply_overrides(_load_config(args.config, "pipeline", PipelineConfig), args)
+    cfg = _configured(args, "pipeline", PipelineConfig)
     for key, low in (("runs", 1), ("restarts_per_run", 1), ("workers", 1), ("master_seed", 0)):
         value = getattr(cfg, key)
         if value < low:
@@ -163,11 +175,14 @@ def _resolve_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _partition_dir(partitions: Path, period: str) -> Path:
+def _partition_dir(partitions: Path, period: str, listed_in) -> Path:
     # period labels become directory names; refuse anything that could
-    # escape or nest under the output tree
-    if not period or period in (".", "..") or "/" in period or "\\" in period:
-        raise InputError(f"period label {period!r} is not usable as a directory name")
+    # escape or nest under the output tree, or that no file name can hold,
+    # naming the file that lists the label
+    if not period or period in (".", "..") or any(c in period for c in "/\\\0"):
+        raise InputError(
+            f"{listed_in}: period label {period!r} is not usable as a directory name"
+        )
     return partitions / period
 
 
@@ -179,13 +194,15 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
     """
     if not cfg.manifest:
         raise InputError("detect requires a manifest (config key or --manifest)")
+    if not Path(cfg.manifest).is_file():
+        raise InputError(f"bad manifest {cfg.manifest!r}: no such file")
     series = load_period_series(cfg.manifest)
     out = Path(cfg.output_dir)
-    # partitions/ is written aside and swapped in whole, so no run file or
+    # partitions/ is written aside and swapped in whole, so no run column or
     # period directory of an earlier detect survives
     staging = out / ".partitions.tmp"
     # a period label unusable as a directory fails before any optimizer run
-    period_dirs = [_partition_dir(staging, period) for period in series.labels]
+    period_dirs = [_partition_dir(staging, period, cfg.manifest) for period in series.labels]
     summary_path = out / "run_summary.json"
     counts_path = out / "community_counts.csv"
     out.mkdir(parents=True, exist_ok=True)
@@ -209,12 +226,13 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
                 workers=cfg.workers,
             )
             pdir.mkdir(exist_ok=True)
-            for result in results:
-                brim.write_partition_csv(
-                    result.partition, pdir / f"run_{result.run_id:03d}.csv"
-                )
+            brim.write_partition_csv(
+                [result.partition for result in results],
+                [f"run_{result.run_id:03d}" for result in results],
+                pdir / "runs.csv",
+            )
             best = brim.best_result(results)
-            brim.write_partition_csv(best.partition, pdir / "best.csv")
+            brim.write_partition_csv([best.partition], ["community"], pdir / "best.csv")
             runs.append((period, [result.partition for result in results]))
             sequence.append((period, best.partition))
             summary[period] = {
@@ -244,21 +262,19 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
         staging.rename(partitions)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    _write_replacing(
-        counts_path,
-        lambda path: table.write_rows(
+    _write_replacing({
+        counts_path: lambda path: table.write_rows(
             path,
             ["period", "mean_communities", "std_communities", "best_communities"],
             count_rows,
         ),
-    )
+    })
     # downstream commands read the summary, so it is written last
-    _write_replacing(
-        summary_path,
-        lambda path: path.write_text(
+    _write_replacing({
+        summary_path: lambda path: path.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         ),
-    )
+    })
     return runs, sequence
 
 
@@ -267,56 +283,63 @@ def _tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def _write_replacing(path: Path, write) -> None:
-    """Call ``write`` on a temporary file beside ``path``, then rename it into place.
+def _write_replacing(writes: dict) -> None:
+    """Call each ``write`` of ``writes`` (path -> write) on a temporary file
+    beside its path, then, once all have succeeded, rename each into place.
 
-    ``path`` either holds the whole new content or is left as it was; the
-    temporary file is removed if ``write`` fails.
+    A write that fails leaves every path as it was; the temporary files are
+    removed whatever happens.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmps = {path: path.with_name(f".{path.name}.tmp") for path in writes}
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        for path, write in writes.items():
+            write(tmps[path])
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
 
 
-def _detected_runs(out: Path) -> dict[str, list[str]]:
-    """Run file names per period of the last detect, from run_summary.json.
+def _detected_runs(out: Path) -> dict[str, int]:
+    """Run count per period of the last detect, from run_summary.json: the
+    number of label columns of the period's ``runs.csv``.
 
-    Downstream commands read only what this lists, never whatever else lies
-    under ``partitions/``.
+    Downstream commands read only the periods this lists, never whatever
+    else lies under ``partitions/``.
     """
     path = out / "run_summary.json"
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
-        runs = {
-            period: [f"run_{run['run_id']:03d}.csv" for run in entry["runs"]]
-            for period, entry in summary.items()
-        }
+        runs = {period: entry["runs"] for period, entry in summary.items()}
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}; run detect first") from exc
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise InputError(f"malformed {path}: {exc!r}") from exc
     if not runs:
         raise InputError(f"{path} lists no periods; run detect first")
-    return dict(sorted(runs.items()))
+    for period, entries in runs.items():
+        if not isinstance(entries, list) or not entries:
+            raise InputError(f"malformed {path}: period {period!r} lists no runs")
+    return {period: len(entries) for period, entries in sorted(runs.items())}
+
+
+def _partition_file(out: Path, period: str, name: str) -> Path:
+    """The partition table ``name`` (best.csv or runs.csv) of ``period``."""
+    return _partition_dir(out / "partitions", period, out / "run_summary.json") / name
 
 
 def _load_best_sequence(out: Path):
-    partitions = out / "partitions"
     return [
-        (period, brim.read_partition_csv(_partition_dir(partitions, period) / "best.csv"))
+        (period, brim.read_partition_csv(_partition_file(out, period, "best.csv"), 1)[0])
         for period in _detected_runs(out)
     ]
 
 
 def _load_runs(out: Path):
-    partitions = out / "partitions"
     return [
-        (period, [brim.read_partition_csv(_partition_dir(partitions, period) / name)
-                  for name in names])
-        for period, names in _detected_runs(out).items()
+        (period, brim.read_partition_csv(_partition_file(out, period, "runs.csv"), count))
+        for period, count in _detected_runs(out).items()
     ]
 
 
@@ -331,15 +354,33 @@ def cmd_ari(cfg: PipelineConfig, runs=None) -> list[tuple]:
         runs = _load_runs(out)
     rows = []
     for period, partitions in runs:
-        if len(partitions) < 2:
-            raise InputError(
-                f"period {period}: need at least 2 runs for agreement statistics"
-            )
-        mean, std, pairs = metrics.all_pairs_ari(partitions)
+        try:
+            if len(partitions) < 2:
+                raise InputError("need at least 2 runs for agreement statistics")
+            mean, std, pairs = metrics.all_pairs_ari(partitions)
+        except InputError as exc:
+            # the runs are those detect wrote to the period's run table
+            raise InputError(f"{_partition_file(out, period, 'runs.csv')}: {exc}") from None
         rows.append((period, mean, std, pairs))
         logger.info("ari %s: mean ARI=%.6f over %d pairs", period, mean, pairs)
-    table.write_rows(out / "ari.csv", ["period", "mean_ari", "std_ari", "pairs"], rows)
+    _write_replacing({
+        out / "ari.csv": lambda path: table.write_rows(
+            path, ["period", "mean_ari", "std_ari", "pairs"], rows
+        ),
+    })
     return rows
+
+
+def _detected_roots(cfg: PipelineConfig, sequence):
+    """The configured roots, or None; InputError naming the roots key unless
+    each is a community of ``sequence``."""
+    roots = cfg.parsed_roots()
+    if roots:
+        try:
+            tracker.check_roots(sequence, roots)
+        except InputError as exc:
+            raise InputError(f"bad roots {cfg.roots!r}: {exc}") from None
+    return roots
 
 
 def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
@@ -352,24 +393,26 @@ def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
     if sequence is None:
         sequence = _load_best_sequence(out)
     if len(sequence) < 2:
-        raise InputError("tracking needs best partitions for at least 2 periods")
+        raise InputError(
+            "tracking needs best partitions for at least 2 periods; "
+            f"{out / 'run_summary.json'} lists {len(sequence)}"
+        )
+    roots = _detected_roots(cfg, sequence)
     config = tracker.TrackerConfig(
         p_univariate=cfg.p_t,
         population_rule=cfg.population_rule,
         direction_filter=cfg.direction_filter,
     )
     links, threshold = tracker.track_sequence(sequence, config)
-    # the graph checks that every root was detected before anything is written
     graph = tracker.build_evolution_graph(
-        sequence, config, roots=cfg.parsed_roots(), tracked=(links, threshold)
+        sequence, config, roots=roots, tracked=(links, threshold)
     )
-    tracker.write_link_table(links, out / "links.csv")
-    (out / "evolution.dot").write_text(
-        tracker.export_evolution(graph, "dot"), encoding="utf-8"
-    )
-    (out / "evolution.json").write_text(
-        tracker.export_evolution(graph, "json"), encoding="utf-8"
-    )
+    exports = {fmt: tracker.export_evolution(graph, fmt) for fmt in ("dot", "json")}
+    _write_replacing({
+        out / "links.csv": lambda path: tracker.write_link_table(links, path),
+        out / "evolution.dot": lambda path: path.write_text(exports["dot"], encoding="utf-8"),
+        out / "evolution.json": lambda path: path.write_text(exports["json"], encoding="utf-8"),
+    })
     n_validated = sum(1 for link in links if link.validated)
     logger.info(
         "track: %d of %d tested links validated (p_B=%.3e); %d edges in the DAG",
@@ -379,6 +422,14 @@ def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
         len(graph.edges),
     )
     return graph
+
+
+def _load_catalog(cfg: PipelineConfig) -> enrichment.AttributeCatalog:
+    """The attribute catalog that ``attributes`` names; InputError naming the key."""
+    try:
+        return enrichment.load_attribute_catalog(cfg.attributes)
+    except InputError as exc:
+        raise InputError(f"bad attributes {cfg.attributes!r}: {exc}") from None
 
 
 def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
@@ -391,7 +442,7 @@ def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
     if catalog is None:
         if not cfg.attributes:
             raise InputError("enrich requires an attribute catalog (key 'attributes')")
-        catalog = enrichment.load_attribute_catalog(cfg.attributes)
+        catalog = _load_catalog(cfg)
     config = enrichment.EnrichmentConfig(
         p_univariate=cfg.p_t, population_scope=cfg.population_scope
     )
@@ -401,16 +452,22 @@ def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
     all_rows = []
     thresholds = []
     for period, partition in sequence:
-        records = enrichment.test_overexpression(
-            partition, catalog, config, period=period
-        )
+        try:
+            records = enrichment.test_overexpression(partition, catalog, config, period=period)
+        except InputError as exc:
+            best = _partition_file(out, period, "best.csv")
+            raise InputError(f"{best} against catalog {cfg.attributes}: {exc}") from None
         all_records.extend(records)
         all_rows.extend(enrichment.community_report(partition, records, period))
         # one test per value and community: the record count is the
         # Bonferroni divisor of the period
         thresholds.append(stats.bonferroni_threshold(config.p_univariate, len(records)))
-    enrichment.write_enrichment_records(all_records, out / "enrichment_records.csv")
-    enrichment.write_enrichment_report(all_rows, out / "enrichment_report.csv")
+    _write_replacing({
+        out / "enrichment_records.csv":
+            lambda path: enrichment.write_enrichment_records(all_records, path),
+        out / "enrichment_report.csv":
+            lambda path: enrichment.write_enrichment_report(all_rows, path),
+    })
     validated = sum(1 for record in all_records if record.validated)
     logger.info(
         "enrich: %d of %d tests validated (p_B from %.3e to %.3e over %d periods)",
@@ -436,7 +493,7 @@ class SynthConfig:
 
 def cmd_synth(args) -> Path:
     """Generate a synthetic dataset (graphs, truth, lineage, attributes)."""
-    cfg = _apply_overrides(_load_config(args.config, "synth", SynthConfig), args)
+    cfg = _configured(args, "synth", SynthConfig)
     if cfg.seed < 0:
         raise InputError(f"seed must be >= 0, got {cfg.seed}")
     communities = _entries("communities", cfg.communities, "REDxBLUE", int, int, field_sep="x")
@@ -456,7 +513,10 @@ def cmd_synth(args) -> Path:
         synth.check_plans(plans)
     except InputError as exc:
         raise InputError(f"bad categories {cfg.categories!r}: {exc}") from None
-    synth.check_plants(plants, plans, len(model.communities))
+    try:
+        synth.check_plants(plants, plans, len(model.communities))
+    except InputError as exc:
+        raise InputError(f"bad plants {cfg.plants!r}: {exc}") from None
     series, truths, lineage = synth.generate_sequence(model, script)
     catalog = None
     if plans:
@@ -475,17 +535,11 @@ def _category_values(pool: str) -> tuple[str, ...]:
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """detect -> ari -> track -> enrich, as configured."""
     # the catalog is read before detect, so a faulty one fails before any write
-    catalog = None
-    if cfg.attributes:
-        try:
-            catalog = enrichment.load_attribute_catalog(cfg.attributes)
-        except InputError as exc:
-            raise InputError(f"bad attributes {cfg.attributes!r}: {exc}") from None
+    catalog = _load_catalog(cfg) if cfg.attributes else None
     runs, sequence = cmd_detect(cfg)
-    roots = cfg.parsed_roots()
-    if roots and len(sequence) >= 2:
+    if len(sequence) >= 2:
         # track would reject an undetected root; ari must not write before it
-        tracker.check_roots(sequence, roots)
+        _detected_roots(cfg, sequence)
     if cfg.runs >= 2:
         cmd_ari(cfg, runs)
     if len(sequence) >= 2:

@@ -364,8 +364,9 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
     Relative paths resolve against the manifest's directory.  A first
     non-blank row whose first cell is "period", in any case, is a header.
     Every row is checked before any edge file is read: a row of another
-    width, an empty period label, or a label not above the one before it
-    raises InputError at ``manifest:line``.
+    width, an empty period label, a label not above the one before it, or
+    a file name that holds a NUL byte or names no file raises InputError at
+    ``manifest:line``, and so does a period whose edge list holds no edge.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -387,10 +388,19 @@ def load_period_series(manifest_path) -> PeriodGraphSeries:
                 f"increasing: {previous!r} >= {label!r}"
             )
         previous = label
+        # the edges cell, and the nodes cell unless it is blank
+        for cell in cells[1:2] + list(filter(None, cells[2:])):
+            if "\0" in cell:
+                raise InputError(f"{manifest_path}:{lineno}: file name holds a NUL byte")
+            if not (base / cell).is_file():
+                raise InputError(f"{manifest_path}:{lineno}: no file {str(base / cell)!r}")
     periods = []
-    for _, cells in rows:
+    for lineno, cells in rows:
         nodes_path = base / cells[2] if len(cells) == 3 and cells[2] else None
-        periods.append((cells[0], load_edge_list(base / cells[1], node_list_path=nodes_path)))
+        graph = load_edge_list(base / cells[1], node_list_path=nodes_path)
+        if not graph.n_edges:
+            raise InputError(f"{manifest_path}:{lineno}: {base / cells[1]} holds no edge")
+        periods.append((cells[0], graph))
     return PeriodGraphSeries(tuple(periods))
 
 

@@ -38,12 +38,15 @@ from .errors import InputError
 
 def _read(path) -> tuple[bytes, str]:
     """The bytes of the file at ``path`` after any utf-8 byte-order mark, and
-    their utf-8 text; InputError at ``path:line`` when they are not utf-8."""
+    their utf-8 text; InputError at ``path:line`` when they are not utf-8,
+    and naming ``path`` when it cannot be read or holds a NUL byte."""
     path = Path(path)
     try:
         data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # a NUL byte, which no file name can hold
+        raise InputError(f"cannot read {str(path)!r}: {exc}") from None
     try:
         return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:

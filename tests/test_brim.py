@@ -757,15 +757,72 @@ class TestPartitionCsv:
     def test_round_trip(self, tmp_path):
         part = Partition.from_arrays(("r0", "r1"), ("b0", "b1"), [0, 1], [1, 0])
         path = tmp_path / "part.csv"
-        write_partition_csv(part, path)
-        assert read_partition_csv(path) == part
+        write_partition_csv([part], ["community"], path)
+        assert read_partition_csv(path, 1) == [part]
+
+    def test_round_trip_of_a_table_of_runs(self, tmp_path):
+        nodes = (("r0", "r1"), ("b0", "b1"))
+        parts = [
+            Partition.from_arrays(*nodes, [0, 1], [1, 0]),
+            Partition.from_arrays(*nodes, [0, 0], [0, 0]),
+            Partition.from_arrays(*nodes, [2, 1], [0, 3]),
+        ]
+        path = tmp_path / "runs.csv"
+        write_partition_csv(parts, ["run_000", "run_001", "run_002"], path)
+        assert path.read_text() == (
+            "node_id,side,run_000,run_001,run_002\n"
+            "r0,red,0,0,2\nr1,red,1,0,1\nb0,blue,1,0,0\nb1,blue,0,0,3\n"
+        )
+        read = read_partition_csv(path, 3)
+        assert read == parts
+        # one node tuple per side, shared, so run agreement aligns no node
+        assert all(p.red_nodes is read[0].red_nodes for p in read)
+        assert all(p.blue_nodes is read[0].blue_nodes for p in read)
+
+    def test_writer_rejects_partitions_of_other_nodes(self, tmp_path):
+        part = Partition(("r0", "r1"), ("b0",), [0, 1], [0], 2)
+        swapped = Partition(("r1", "r0"), ("b0",), [0, 1], [0], 2)
+        with pytest.raises(ValueError, match="same nodes"):
+            write_partition_csv([part, swapped], ["run_000", "run_001"], tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b0,blue,0,x,0", "3: bad community 'x'"),
+            ("b0,blue,0,-1,0", "3: negative community -1"),
+            ("b0,blue,0,3,0", "3: community 3 is not below the node count 3"),
+            ("b0,blue,0,,0", "3: bad community ''"),
+            (",blue,0,0,0", "3: empty node identifier"),
+            ("r0,blue,0,0,0", "3: node 'r0' listed twice"),
+            ("b0,Blue,0,0,0", "3: unknown side 'Blue'"),
+            ("b0,blue,0,0", "3: expected 5 fields, got 4"),
+        ],
+    )
+    def test_fault_in_a_later_column_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"node_id,side,run_000,run_001,run_002\nr0,red,0,0,0\n{row}\nb1,blue,1,1,1\n")
+        with pytest.raises(InputError) as info:
+            read_partition_csv(path, 3)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_columns_are_checked_in_order(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        # the first row's second column before the second row's first
+        path.write_text("r0,red,0,x\nb0,blue,y,0\n")
+        with pytest.raises(InputError, match=r"runs\.csv:1: bad community 'x'"):
+            read_partition_csv(path, 2)
+        # each column's largest label, first column first
+        path.write_text("r0,red,0,9\nb0,blue,5,0\n")
+        with pytest.raises(InputError, match=r"runs\.csv:2: community 5 is not below"):
+            read_partition_csv(path, 2)
 
     def test_writes_only_the_labels_of_a_wide_partition(self, tmp_path):
         part = Partition(("r0",), ("b0", "b1"), [7], [0, 7], 10**6)
         path = tmp_path / "part.csv"
         tracemalloc.start()
         try:
-            write_partition_csv(part, path)
+            write_partition_csv([part], ["community"], path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -776,13 +833,13 @@ class TestPartitionCsv:
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,purple,0\n")
         with pytest.raises(InputError, match="side"):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
 
     def test_rejects_negative_community(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,red,-1\n")
         with pytest.raises(InputError):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
 
     def test_rejects_community_not_below_node_count(self, tmp_path):
         path = tmp_path / "part.csv"
@@ -791,35 +848,35 @@ class TestPartitionCsv:
             InputError,
             match=r"part\.csv:3: community 10000000000 is not below the node count 3",
         ):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         path.write_text("node_id,side,community\nr0,red,2\nb0,blue,0\nb1,blue,1\n")
-        assert read_partition_csv(path).n_communities == 3
+        assert read_partition_csv(path, 1)[0].n_communities == 3
         # labels are read as by int: past int64, and with a sign
         path.write_text(f"node_id,side,community\nr0,red,0\nb0,blue,{2**64}\n")
         with pytest.raises(
             InputError,
             match=r"part\.csv:3: community 18446744073709551616 is not below the node count 2",
         ):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         path.write_text("node_id,side,community\nr0,red,+3\nb0,blue,0\nb1,blue,1\n")
         with pytest.raises(
             InputError, match=r"part\.csv:2: community 3 is not below the node count 3"
         ):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         path.write_text("r0,red,+3\nb0,blue,0\nb1,blue,1\nb2,blue, 2\n")
-        assert read_partition_csv(path).labels.tolist() == [3, 0, 1, 2]
+        assert read_partition_csv(path, 1)[0].labels.tolist() == [3, 0, 1, 2]
         # the first row that holds the largest label is named
         path.write_text("r0,red,0\nb0,blue,5\nb1,blue,5\n")
         with pytest.raises(
             InputError, match=r"part\.csv:2: community 5 is not below the node count 3"
         ):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
 
     def test_rejects_node_listed_twice(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\nr0,red,0\nb0,blue,0\nr0,red,1\n")
         with pytest.raises(InputError, match=r"part\.csv:4: node 'r0' listed twice"):
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -840,13 +897,13 @@ class TestPartitionCsv:
         path = tmp_path / "part.csv"
         path.write_text(text)
         with pytest.raises(InputError) as info:
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         assert str(info.value) == f"{path}:{message}"
 
     def test_header_of_any_width_is_skipped(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text(" node_id ,side\nr0,red,0\n")
-        assert read_partition_csv(path) == Partition(("r0",), (), [0], [], 1)
+        assert read_partition_csv(path, 1) == [Partition(("r0",), (), [0], [], 1)]
 
     @pytest.mark.parametrize(
         "head", ["Node_ID,side,community\n", "\nnode_id,side,community\n", " , ,\nNODE_ID\n"]
@@ -854,13 +911,13 @@ class TestPartitionCsv:
     def test_header_in_any_case_after_blank_lines(self, tmp_path, head):
         path = tmp_path / "part.csv"
         path.write_text(head + "r0,red,1\n\nb0,blue,0\n")
-        assert read_partition_csv(path) == Partition(("r0",), ("b0",), [1], [0], 2)
+        assert read_partition_csv(path, 1) == [Partition(("r0",), ("b0",), [1], [0], 2)]
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("node_id,side,community\n\n")
         with pytest.raises(InputError) as info:
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         assert str(info.value) == f"empty partition file: {path}"
 
     @pytest.mark.parametrize(
@@ -884,7 +941,7 @@ class TestPartitionCsv:
         path = tmp_path / "part.csv"
         path.write_text(text)
         with pytest.raises(InputError) as info:
-            read_partition_csv(path)
+            read_partition_csv(path, 1)
         assert str(info.value) == f"{path}:{message}"
 
 

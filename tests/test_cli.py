@@ -106,9 +106,10 @@ class TestDetectCommand:
         counts = (out / "community_counts.csv").read_text().splitlines()
         assert counts[0] == "period,mean_communities,std_communities,best_communities"
         assert len(counts) == 4
-        runs = sorted((out / "partitions" / "p00").glob("run_*.csv"))
-        assert len(runs) == 4
-        assert (out / "partitions" / "p00" / "best.csv").exists()
+        p00 = out / "partitions" / "p00"
+        assert sorted(p.name for p in p00.iterdir()) == ["best.csv", "runs.csv"]
+        header = (p00 / "runs.csv").read_text().splitlines()[0]
+        assert header == "node_id,side,run_000,run_001,run_002,run_003"
         summary = json.loads((out / "run_summary.json").read_text())
         assert set(summary) == {"p00", "p01", "p02"}
         assert len(summary["p00"]["runs"]) == 4
@@ -221,7 +222,8 @@ class TestAriCommand:
         tmp_path, config = workspace
         assert main(["detect", "--config", str(config), "--runs", "6"]) == 0
         assert main(["detect", "--config", str(config), "--runs", "3"]) == 0
-        assert not (tmp_path / "out" / "partitions" / "p00" / "run_005.csv").exists()
+        runs = tmp_path / "out" / "partitions" / "p00" / "runs.csv"
+        assert runs.read_text().splitlines()[0] == "node_id,side,run_000,run_001,run_002"
         assert main(["ari", "--config", str(config)]) == 0
         lines = (tmp_path / "out" / "ari.csv").read_text().splitlines()
         assert len(lines) == 4
@@ -240,7 +242,7 @@ class TestAriCommand:
         assert listed == [
             f"{period}{name}"
             for period in ("p00", "p01")
-            for name in ("", "/best.csv", "/run_000.csv", "/run_001.csv", "/run_002.csv")
+            for name in ("", "/best.csv", "/runs.csv")
         ]
         fresh = ["--output-dir", str(tmp_path / "fresh")]
         assert main(["detect", "--config", str(config), *second, *fresh]) == 0
@@ -249,9 +251,13 @@ class TestAriCommand:
     def test_run_named_in_summary_but_missing_rejected(self, workspace, capsys):
         tmp_path, config = workspace
         assert main(["detect", "--config", str(config)]) == 0
-        (tmp_path / "out" / "partitions" / "p01" / "run_002.csv").unlink()
+        runs = tmp_path / "out" / "partitions" / "p01" / "runs.csv"
+        # the table without its last column, run_003
+        lines = runs.read_text().splitlines()
+        runs.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        capsys.readouterr()
         assert main(["ari", "--config", str(config)]) == 1
-        assert "run_002.csv" in capsys.readouterr().err
+        assert "p01/runs.csv:2: expected 6 fields, got 5" in capsys.readouterr().err
 
     def test_malformed_summary_rejected(self, workspace, capsys):
         tmp_path, config = workspace
@@ -288,7 +294,8 @@ class TestTrackCommand:
         assert main(["detect", "--config", str(config)]) == 0
         before = tree_bytes(tmp_path / "out")
         assert main(["track", "--config", str(config), "--roots", "p01:99"]) == 1
-        assert "root community 99 not present in period 'p01'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad roots 'p01:99': root community 99 not present in period 'p01'" in err
         assert tree_bytes(tmp_path / "out") == before
 
     def test_links_are_tested_once(self, workspace, monkeypatch):
@@ -373,9 +380,9 @@ class TestPipeline:
         reads = []
         read_partition_csv = cli_mod.brim.read_partition_csv
 
-        def counted(path):
+        def counted(path, width):
             reads.append(Path(path).name)
-            return read_partition_csv(path)
+            return read_partition_csv(path, width)
 
         monkeypatch.setattr(cli_mod.brim, "read_partition_csv", counted)
         assert main(["pipeline", "--config", str(config)]) == 0
@@ -488,6 +495,51 @@ class TestPipeline:
         assert tree_bytes(tmp_path / "out") == serial
 
 
+class TestStandaloneWrites:
+    """ari, track and enrich replace their outputs whole: a write that fails
+    partway leaves every output as it was, and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "command, module, name, path_arg",
+        [
+            ("ari", "table", "write_rows", 0),
+            ("track", "tracker", "write_link_table", 1),
+            ("track", "pathlib", "write_text", 0),  # evolution.dot, after links.csv
+            ("enrich", "enrichment", "write_enrichment_records", 1),
+            ("enrich", "enrichment", "write_enrichment_report", 1),
+        ],
+    )
+    def test_failed_write_leaves_the_previous_outputs(
+        self, workspace, monkeypatch, capsys, command, module, name, path_arg
+    ):
+        import importlib
+
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        before = tree_bytes(tmp_path / "out")
+        owner = importlib.import_module(f"bicomet.{module}") if module != "pathlib" else Path
+        real = getattr(owner, name)
+
+        def partway(*args, **kwargs):
+            real(*args, **kwargs)
+            path = Path(args[path_arg])
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(owner, name, partway)
+        # another threshold, so that a replaced output would differ
+        extra = [] if command == "ari" else ["--p-t", "0.5"]
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *extra]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "out") == before
+        monkeypatch.setattr(owner, name, real)
+        assert main([command, "--config", str(config), *extra]) == 0
+        if command != "ari":
+            assert tree_bytes(tmp_path / "out") != before
+
+
 def tree_digest(root: Path) -> str:
     """SHA-256 over the relative path and the SHA-256 of every file under root."""
     digest = hashlib.sha256()
@@ -499,10 +551,11 @@ def tree_digest(root: Path) -> str:
 
 
 class TestBytePin:
-    # recorded before table writes moved to one join per table; any writer
-    # or reader change that alters a byte of the dataset or the outputs fails
+    # DATA was recorded before table writes moved to one join per table, OUT
+    # when each period's runs became one runs.csv; any writer or reader
+    # change that alters a byte of the dataset or the outputs fails
     DATA = "ebf5058900b9c47c574e50112f8e47bd6b8e82a61374f5f20cc45102509dc124"
-    OUT = "b1a7709e106f09e119c1c8dac7c9d3b21047083f25de3bb16f7e9c0c9fe432ea"
+    OUT = "bdfc6ee006c27d9668789ee4e1eb9dd7bea38dd71c27c11c96478c2e24154b13"
 
     def test_synth_and_pipeline_bytes_are_pinned(self, workspace):
         tmp_path, config = workspace
@@ -554,7 +607,7 @@ class TestLineageRecovery:
         )
         label_maps = {}
         for (period, _), truth in zip(series, truths):
-            found = read_partition_csv(tmp_path / "out" / "partitions" / period / "best.csv")
+            found, = read_partition_csv(tmp_path / "out" / "partitions" / period / "best.csv", 1)
             assert bc.adjusted_rand_index(found, truth) == 1.0
             # each truth community maps to the found community holding most of it
             truth_labels, found_labels = truth.shared_labels(found)
@@ -681,7 +734,7 @@ class TestErrorHandling:
     def test_invalid_utf8_partition_file_exits_one_at_its_line(self, workspace, capsys):
         tmp_path, config = workspace
         assert main(["detect", "--config", str(config)]) == 0
-        run = tmp_path / "out" / "partitions" / "p01" / "run_002.csv"
+        run = tmp_path / "out" / "partitions" / "p01" / "runs.csv"
         lines = run.read_bytes().split(b"\n")
         lines[4] = lines[4].replace(b"red", b"r\xe9d")
         run.write_bytes(b"\n".join(lines))
@@ -689,7 +742,115 @@ class TestErrorHandling:
         assert main(["ari", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "run_002.csv:5: not utf-8" in err
+        assert "p01/runs.csv:5: not utf-8" in err
+
+    def test_nul_in_a_manifest_file_name_exits_one_at_its_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text("b1,f1\nb2,f1\n")
+        for row in ("p01,e\0.csv", "p01,e.csv,n\0.csv"):
+            (tmp_path / "manifest.csv").write_text(f"period,edges\np00,e.csv\n{row}\n")
+            argv = ["detect", "--manifest", "manifest.csv", "--output-dir", "out"]
+            assert main(argv) == 1
+            assert "manifest.csv:3: file name holds a NUL byte" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("p01,missing.csv", "manifest.csv:3: no file 'missing.csv'"),
+            ("p01,", "manifest.csv:3: no file '.'"),
+            ("p01,e.csv,missing.csv", "manifest.csv:3: no file 'missing.csv'"),
+            ("p01,empty.csv,n.csv", "manifest.csv:3: empty.csv holds no edge"),
+        ],
+    )
+    def test_manifest_row_without_a_usable_edge_file_names_its_line(
+        self, tmp_path, monkeypatch, capsys, row, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text("b1,f1\nb2,f1\n")
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "n.csv").write_text("b1,red\nf1,blue\n")
+        (tmp_path / "manifest.csv").write_text(f"period,edges\np00,e.csv\n{row}\n")
+        assert main(["detect", "--manifest", "manifest.csv", "--output-dir", "out"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_manifest_names_the_key(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config), "--manifest", "nowhere.csv"]) == 1
+        assert "bad manifest 'nowhere.csv': no such file" in capsys.readouterr().err
+
+    def test_unknown_key_names_the_config_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text("[pipeline]\nrusn = 3\n")
+        assert main(["detect", "--config", "c.ini"]) == 1
+        assert "unknown key(s) in [pipeline] of c.ini: rusn" in capsys.readouterr().err
+
+    def test_analysis_faults_name_the_partition_table(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["detect", "--config", str(config)]) == 0
+        partitions = tmp_path / "out" / "partitions"
+        # one node per run: agreement needs two
+        (partitions / "p01" / "runs.csv").write_text("r0,red,0,0,0,0\n")
+        capsys.readouterr()
+        assert main(["ari", "--config", str(config)]) == 1
+        assert (
+            "p01/runs.csv: adjusted Rand index needs at least 2 shared nodes"
+            in capsys.readouterr().err
+        )
+        # no node of the catalog in the best partition
+        (partitions / "p02" / "best.csv").write_text("x0,red,0\n")
+        assert main(["enrich", "--config", str(config)]) == 1
+        assert (
+            "p02/best.csv against catalog data/attributes.csv: category 'bank_type' "
+            "applies to no node of the partition" in capsys.readouterr().err
+        )
+
+    def test_nul_in_a_period_label_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.csv").write_text("b1,f1\nb2,f1\n")
+        (tmp_path / "manifest.csv").write_text("period,edges\np\0,e.csv\n")
+        assert main(["detect", "--manifest", "manifest.csv", "--output-dir", "out"]) == 1
+        assert "period label 'p\\x00' is not usable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, flag",
+        [
+            ("detect", "output_dir", "--output-dir"),
+            ("detect", "manifest", "--manifest"),
+            ("enrich", "attributes", "--attributes"),
+            ("pipeline", "attributes", "--attributes"),
+            ("synth", "output_dir", "--output-dir"),
+        ],
+    )
+    def test_nul_in_a_path_key_exits_one_naming_the_key(
+        self, workspace, capsys, command, key, flag
+    ):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), flag, "x\0y"]) == 1
+        assert f"bad {key} 'x\\x00y': holds a NUL byte" in capsys.readouterr().err
+        # the same value read from the config file
+        lines = config.read_text().splitlines(True)
+        start = lines.index("[synth]\n" if command == "synth" else "[pipeline]\n")
+        at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+        lines[at] = f"{key} = x\0y\n"
+        nul = tmp_path / "nul.ini"
+        nul.write_text("".join(lines))
+        assert main([command, "--config", str(nul)]) == 1
+        assert f"bad {key} 'x\\x00y'" in capsys.readouterr().err
+        nul.unlink()
+        assert tree_bytes(tmp_path) == before
+
+    def test_nul_in_the_config_path_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["detect", "--config", "c\0.ini"]) == 1
+        assert "config file 'c\\x00.ini' holds a NUL byte" in capsys.readouterr().err
 
     def test_output_io_failure_exits_one(self, workspace, capsys):
         tmp_path, config = workspace

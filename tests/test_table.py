@@ -42,6 +42,13 @@ class TestReadRows:
         with pytest.raises(InputError, match="cannot read"):
             list(read_rows(tmp_path / "missing.csv"))
 
+    def test_path_with_a_nul_byte_is_input_error(self, tmp_path):
+        path = tmp_path / "a\0b.csv"
+        with pytest.raises(InputError, match=r"cannot read '.*a\\x00b\.csv': embedded null"):
+            list(read_rows(path))
+        with pytest.raises(InputError, match=r"a\\x00b\.csv"):
+            read_columns(path, 2)
+
 
 class TestPhysicalLineNumbers:
     # the quoted cell of the first record spans lines 1 and 2
