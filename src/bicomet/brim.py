@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .graph import BLUE, RED, BipartiteGraph
 from .seeding import STREAM_BRIM_RUN, derive_seed
-from .table import int_cells, read_columns, write_columns
+from .table import int_cells, read_columns, write_rows
 
 MAX_SWEEPS = 200
 
@@ -466,7 +466,8 @@ def brim_multirun(
     deterministically from ``master_seed``, so output is identical whether
     runs execute serially or in a worker pool.  Restart r of a run starts with
     the r-th count of ``module_count_schedule``, cycled; None means
-    ``[max(1, min(n_red, n_blue))]``.
+    ``[max(1, min(n_red, n_blue))]``.  No count may exceed the graph's node
+    count.  At most ``runs`` worker processes are started.
     """
     if runs < 1 or restarts_per_run < 1:
         raise ValueError("runs and restarts_per_run must be >= 1")
@@ -476,12 +477,19 @@ def brim_multirun(
         schedule = list(module_count_schedule)
         if not schedule or min(schedule) < 1:
             raise ValueError(f"invalid module count schedule: {schedule}")
+        if max(schedule) > graph.n_red + graph.n_blue:
+            raise ValueError(
+                f"module count {max(schedule)} exceeds the "
+                f"{graph.n_red + graph.n_blue} nodes of the graph"
+            )
     graph.id_rank  # rank the node ids before the jobs copy the graph to workers
     scratch = _Scratch(graph)
     jobs = [
         (graph, run_id, restarts_per_run, schedule, master_seed, scratch)
         for run_id in range(runs)
     ]
+    # a pool forks all its workers at once; no more than there are runs
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_best_of_run, jobs))
@@ -514,7 +522,7 @@ def write_partition_csv(partitions, names, path) -> None:
         raise ValueError("partitions of one table must hold the same nodes in one order")
     sides = [RED] * len(first.red_nodes) + [BLUE] * len(first.blue_nodes)
     labels = [int_cells(p.labels) for p in partitions]
-    write_columns(path, ["node_id", "side", *names], [first.nodes, sides, *labels])
+    write_rows(path, ["node_id", "side", *names], zip(first.nodes, sides, *labels))
 
 
 def read_partition_csv(path, width: int) -> list[Partition]:

@@ -197,6 +197,15 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
     if not Path(cfg.manifest).is_file():
         raise InputError(f"bad manifest {cfg.manifest!r}: no such file")
     series = load_period_series(cfg.manifest)
+    schedule = cfg.parsed_schedule()
+    # brim_multirun refuses such a count too, but only once earlier periods ran
+    for period, graph in series:
+        nodes = graph.n_red + graph.n_blue
+        if schedule and max(schedule) > nodes:
+            raise InputError(
+                f"bad module_count_schedule count {max(schedule)}: above the "
+                f"{nodes} nodes of period {period!r}"
+            )
     out = Path(cfg.output_dir)
     # partitions/ is written aside and swapped in whole, so no run column or
     # period directory of an earlier detect survives
@@ -209,12 +218,13 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
-    schedule = cfg.parsed_schedule()
     summary = {}
     count_rows = []
     runs = []
     sequence = []
     try:
+        for pdir in period_dirs:
+            pdir.mkdir()
         for index, ((period, graph), pdir) in enumerate(zip(series, period_dirs)):
             period_seed = derive_seed(cfg.master_seed, STREAM_DETECT_PERIOD, index)
             results = brim.brim_multirun(
@@ -225,7 +235,6 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
                 master_seed=period_seed,
                 workers=cfg.workers,
             )
-            pdir.mkdir(exist_ok=True)
             brim.write_partition_csv(
                 [result.partition for result in results],
                 [f"run_{result.run_id:03d}" for result in results],

@@ -19,7 +19,7 @@ import numpy as np
 from .brim import Partition
 from .errors import InputError, _RowError
 from .stats import bonferroni_threshold, overlap_tests
-from .table import read_columns, write_columns, write_rows
+from .table import read_columns, write_rows
 
 SCOPE_CARRIERS = "carriers"
 SCOPE_SIDE = "side"
@@ -84,7 +84,7 @@ def write_attribute_catalog(catalog: AttributeCatalog, path) -> None:
         for category in catalog.categories
         for node, value in sorted(catalog.assignments(category).items())
     ]
-    write_columns(path, None, list(zip(*rows)))
+    write_rows(path, None, rows)
 
 
 @dataclass(frozen=True)

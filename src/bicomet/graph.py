@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, _RowError
-from .table import gather, read_columns, read_rows, write_columns, write_rows
+from .table import gather, read_columns, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -225,32 +225,16 @@ def _index_edges(red_ids, blue_ids, red_declared, blue_declared):
     red_nodes, edge_red = _index_ids(red_declared, red_ids)
     blue_nodes, edge_blue = _index_ids(blue_declared, blue_ids)
     if "" in red_nodes or "" in blue_nodes or not set(red_nodes).isdisjoint(blue_nodes):
-        red_met = _first_met(len(red_nodes), edge_red, len(red_declared), 0)
-        blue_met = _first_met(len(blue_nodes), edge_blue, len(blue_declared), 1)
-        faults = [
-            (met[nodes.index("")], "empty node identifier in edge")
-            for nodes, met in ((red_nodes, red_met), (blue_nodes, blue_met))
-            if "" in nodes
-        ]
-        blue_at = dict(zip(blue_nodes, blue_met.tolist()))
-        faults += [
-            (max(met, blue_at[node]), f"identifier {node!r} appears on both sides")
-            for node, met in zip(red_nodes, red_met.tolist())
-            if node and node in blue_at
-        ]
-        position, message = min(faults)
-        raise _RowError(int(position) // 2, message)
+        # the first faulty id, read in the order the docstring gives
+        seen = (set(red_declared), set(blue_declared))
+        for row, pair in enumerate(zip(red_ids, blue_ids)):
+            for side, node in enumerate(pair):
+                if not node:
+                    raise _RowError(row, "empty node identifier in edge")
+                if node in seen[1 - side]:
+                    raise _RowError(row, f"identifier {node!r} appears on both sides")
+                seen[side].add(node)
     return red_nodes, blue_nodes, edge_red, edge_blue
-
-
-def _first_met(n_nodes: int, edges, n_declared: int, offset: int) -> np.ndarray:
-    """Read position at which each node of one side is first met: -1 when
-    declared, else 2 * edge + offset (0 on the red side, 1 on the blue)."""
-    met = np.full(n_nodes, -1, dtype=np.int64)
-    codes, first = np.unique(edges, return_index=True)
-    fresh = codes >= n_declared
-    met[codes[fresh]] = 2 * first[fresh] + offset
-    return met
 
 
 def load_node_list(path):
@@ -314,16 +298,16 @@ def load_edge_list(path, node_list_path=None) -> BipartiteGraph:
 
 
 def write_edge_list(graph: BipartiteGraph, path) -> None:
-    write_columns(
+    write_rows(
         path,
         None,
-        [gather(graph.red_nodes, graph.edge_red), gather(graph.blue_nodes, graph.edge_blue)],
+        zip(gather(graph.red_nodes, graph.edge_red), gather(graph.blue_nodes, graph.edge_blue)),
     )
 
 
 def write_node_list(graph: BipartiteGraph, path) -> None:
     sides = [RED] * graph.n_red + [BLUE] * graph.n_blue
-    write_columns(path, None, [graph.red_nodes + graph.blue_nodes, sides])
+    write_rows(path, None, zip(graph.red_nodes + graph.blue_nodes, sides))
 
 
 @dataclass(frozen=True)

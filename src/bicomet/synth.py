@@ -31,7 +31,7 @@ from .seeding import (
     STREAM_SYNTH_EVENTS,
     generator,
 )
-from .table import int_cells, write_columns, write_rows
+from .table import int_cells, write_rows
 
 ENUMERATION_CAP = 12
 
@@ -429,7 +429,7 @@ def write_ground_truth(truths, labels, path) -> None:
         nodes += truth.nodes
         periods += [label] * len(truth.nodes)
         communities += int_cells(truth.labels)
-    write_columns(path, ["node_id", "period", "true_community"], [nodes, periods, communities])
+    write_rows(path, ["node_id", "period", "true_community"], zip(nodes, periods, communities))
 
 
 def write_lineage(lineage: Sequence[LineageEdge], path) -> None:

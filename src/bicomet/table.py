@@ -9,18 +9,19 @@ first non-blank row when its first cells are the names the caller gives, in
 any case, whatever its width; edge and node lists give none.
 ``read_columns`` applies the same rules to a table of fixed width, checks
 the width of every row and hands its cells on column by column; every table
-but the manifest, whose width varies, is read by it.  ``write_columns`` is
-its counterpart.  ``write_rows`` is the one place a cell is formatted: a
-bool as "true" or "false" (``BOOL_CELLS`` reads it back), any other cell as
-``csv.writer`` writes it, so a float as its repr; a record that is a named
-tuple of its columns is therefore written as it is.
+but the manifest, whose width varies, is read by it.  ``write_rows`` is the
+one writer, and the one place a cell is formatted: a bool as "true" or
+"false" (``BOOL_CELLS`` reads it back), any other cell as ``csv.writer``
+writes it, so a float as its repr; a record that is a named tuple of its
+columns is therefore written as it is, and a table held as columns is
+written as their ``zip``.
 
-Every table moves as one string: a file is read and decoded once, and
-written with one join and one write.  Text that holds no quote and no
-carriage return is split on "\\n" and "," directly, which is what the
-``csv`` module would make of it; any other text, and so every quoted cell,
-goes through ``csv.reader``, and a table whose cells need quoting through
-``csv.writer``.
+Every table moves as one string: a file is read and decoded once, and a
+table of str cells is written with one join and one write.  Text that
+holds no quote and no carriage return is split on "\\n" and "," directly,
+which is what the ``csv`` module would make of it; any other text, and so
+every quoted cell, goes through ``csv.reader``, and a table whose cells
+need quoting or formatting through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -186,41 +187,32 @@ BOOL_CELLS = {"true": True, "false": False}
 
 
 def write_rows(path, header, rows) -> None:
-    """Write ``rows`` to ``path``, preceded by ``header`` unless it is None;
-    a bool cell as "true" or "false"."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(
-            [("true" if c else "false") if c.__class__ is bool else c for c in row]
-            for row in rows
-        )
+    """Write ``rows`` to ``path``, preceded by ``header`` unless it is None.
 
-
-def write_columns(path, header, columns) -> None:
-    """Write the table whose k-th column is the sequence of str cells
-    ``columns[k]``, preceded by ``header`` unless it is None.
-
-    The bytes are those ``write_rows`` writes for the same rows.  The cells
-    are joined into one text and written at once; when that text shows a
-    cell that needs quoting (one holding a quote, a line end or a comma, or
-    a row of one empty cell), the rows go to ``write_rows``.
+    Rows of str cells are joined into one text and written at once.  A row
+    with any other cell, or a text that shows a cell needing quotes (one
+    holding a quote, a line end or a comma, or a row of one empty cell),
+    sends the table to ``csv.writer``, a bool cell as "true" or "false".
     """
-    width = len(columns)
-    body = list(zip(*columns))
+    body = list(rows)
     if header is not None:
-        body.insert(0, tuple(header))
-    text = "\n".join(map(",".join, body))
-    if body:
-        text += "\n"
+        body.insert(0, header)
+    try:
+        text = "\n".join(map(",".join, body)) + ("\n" if body else "")
+    except TypeError:  # a cell that is not a str
+        text = None
     if (
-        '"' in text
+        text is None
+        or '"' in text
         or "\r" in text
         or text.count("\n") != len(body)
-        or text.count(",") != len(body) * (width - 1)
-        or (width == 1 and "\n\n" in "\n" + text)
+        or text.count(",") != sum(map(len, body)) - len(body)
+        or "\n\n" in "\n" + text
     ):
-        write_rows(path, None, body)
+        with Path(path).open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(
+                [("true" if c else "false") if c.__class__ is bool else c for c in row]
+                for row in body
+            )
         return
     Path(path).write_text(text, encoding="utf-8", newline="")

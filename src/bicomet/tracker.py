@@ -255,18 +255,23 @@ def build_evolution_graph(
     return EvolutionGraph(nodes=nodes, edges=tuple(keep), p_threshold=threshold)
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string; a quote is its only escaped character."""
+    return '"' + text.replace('"', '\\"') + '"'
+
+
 def _dot_export(graph: EvolutionGraph) -> str:
     lines = ["digraph evolution {", "  rankdir=LR;"]
     for node in graph.nodes:
         width = 0.3 + 0.15 * node.log_size
+        name = _dot_string(node.name)
         lines.append(
-            f'  "{node.name}" [label="{node.name}", size={node.log_size:.6f}, '
-            f"width={width:.4f}];"
+            f"  {name} [label={name}, size={node.log_size:.6f}, width={width:.4f}];"
         )
     for edge in graph.edges:
-        src = f"{edge.community_from}_{edge.period_from}"
-        dst = f"{edge.community_to}_{edge.period_to}"
-        lines.append(f'  "{src}" -> "{dst}" [p_value="{edge.p_value:.6g}"];')
+        src = _dot_string(f"{edge.community_from}_{edge.period_from}")
+        dst = _dot_string(f"{edge.community_to}_{edge.period_to}")
+        lines.append(f'  {src} -> {dst} [p_value="{edge.p_value:.6g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -680,6 +680,34 @@ class TestMultirun:
             assert p.partition.blue_nodes is g.blue_nodes
             assert p.partition.labels.tolist() == s.partition.labels.tolist()
 
+    def test_pool_holds_no_more_workers_than_runs(self, monkeypatch):
+        g = disjoint_bicliques(3, 2, 3)
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(brim, "ProcessPoolExecutor", InProcessPool)
+        pooled = brim_multirun(g, runs=3, restarts_per_run=2, master_seed=5, workers=1000)
+        assert opened == [3]
+        assert pooled == brim_multirun(g, runs=3, restarts_per_run=2, master_seed=5)
+
+    def test_rejects_a_module_count_above_the_node_count(self):
+        g = disjoint_bicliques(1, 2, 3)
+        with pytest.raises(ValueError, match="module count 6 exceeds the 5 nodes"):
+            brim_multirun(g, runs=1, restarts_per_run=1, module_count_schedule=[2, 6])
+        # as many communities as nodes is a valid start
+        brim_multirun(g, runs=1, restarts_per_run=1, module_count_schedule=[5])
+
     def test_rejects_bad_counts(self):
         g = disjoint_bicliques(1, 1, 1)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,29 @@ class TestDetectCommand:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_label_too_long_for_a_directory_fails_before_any_optimizer_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import bicomet.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        label = "p01" + "x" * 297
+        (tmp_path / "e.csv").write_text("b1,f1\nb2,f1\nb2,f2\n")
+        (tmp_path / "manifest.csv").write_text(f"period,edges\np00,e.csv\n{label},e.csv\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text(
+            "[pipeline]\nmanifest = manifest.csv\noutput_dir = out\nruns = 2\n"
+            "restarts_per_run = 1\n"
+        )
+        calls = []
+        monkeypatch.setattr(cli_mod.brim, "brim_multirun", lambda *a, **k: calls.append(a))
+        assert main(["detect", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(Path("out", ".partitions.tmp", label)) in err
+        assert calls == []
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_manifest_is_input_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, manifest="missing/nowhere.csv")
@@ -278,6 +302,24 @@ class TestTrackCommand:
         assert (out / "evolution.dot").read_text().startswith("digraph")
         payload = json.loads((out / "evolution.json").read_text())
         assert payload["edges"]
+
+    def test_dot_escapes_quotes_in_period_labels(self, workspace):
+        tmp_path, config = workspace
+        manifest = tmp_path / "data" / "manifest.csv"
+        # labels p"00, p"01, ... as the csv module quotes them
+        manifest.write_text(re.sub(r"(?m)^p(\d+),", r'"p""\1",', manifest.read_text()))
+        assert main(["pipeline", "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "evolution.dot").read_text().splitlines()
+        string = r'"(?:[^"\\]|\\.)*"'
+        declared, ends = set(), []
+        for line in lines:
+            assert len(re.findall(r'(?<!\\)"', line)) % 2 == 0, line
+            if node := re.fullmatch(rf"  ({string}) \[label=\1, .*\];", line):
+                declared.add(node[1])
+            elif edge := re.fullmatch(rf"  ({string}) -> ({string}) \[.*\];", line):
+                ends += edge.groups()
+        assert '"0_p\\"00"' in declared
+        assert ends and set(ends) <= declared
 
     def test_roots_flag(self, workspace):
         tmp_path, config = workspace
@@ -920,6 +962,9 @@ class TestMalformedConfig:
             ("detect", "module_count_schedule", "0", "'0'"),
             ("detect", "module_count_schedule", "3,-1", "'-1'"),
             ("detect", "module_count_schedule", "4,x", "'x'"),
+            # above a period's node count: refused before its counts array is made
+            ("detect", "module_count_schedule", "3,1000000000000",
+             "count 1000000000000: above the 24 nodes of period 'p00'"),
             ("pipeline", "module_count_schedule", "4,x", "'x'"),
             ("pipeline", "roots", "p00", "'p00'"),
             ("pipeline", "roots", "p00:x", "'p00:x'"),
@@ -957,6 +1002,8 @@ class TestMalformedConfig:
         "command, flag, value, key, entry",
         [
             ("detect", "--module-counts", "0", "module_count_schedule", "'0'"),
+            ("detect", "--module-counts", "1000000000000", "module_count_schedule",
+             "count 1000000000000: above the 24 nodes of period 'p00'"),
             ("detect", "--restarts", "0", "restarts_per_run", "0"),
             ("detect", "--seed", "-1", "master_seed", "-1"),
             ("pipeline", "--roots", "p00", "roots", "'p00'"),

@@ -6,7 +6,7 @@ import pytest
 
 from bicomet.errors import InputError
 from bicomet.graph import load_edge_list
-from bicomet.table import int_cells, read_columns, read_rows, write_columns, write_rows
+from bicomet.table import int_cells, read_columns, read_rows, write_rows
 
 
 class TestWriteRows:
@@ -255,6 +255,8 @@ class TestPaddedCellsOracle:
 
 
 class TestWriteColumns:
+    """Tables held as columns, written by ``write_rows`` as their zip."""
+
     CELLS = [",", '"', "\r", "\n", " pad ", "", "é", "日本", "a,b", 'say "hi"',
              "x\r\ny", "plain", "0", "  ", "z "]
 
@@ -269,21 +271,34 @@ class TestWriteColumns:
                     for _ in range(rng.integers(0, 6))]
             header = None if rng.random() < 0.5 else tuple(rng.choice(pool, size=width).tolist())
             columns = [[row[k] for row in rows] for k in range(width)]
-            write_columns(path, header, columns)
+            write_rows(path, header, zip(*columns))
             assert path.read_bytes() == csv_text(header, rows).encode("utf-8")
 
     def test_one_empty_cell_row_is_quoted(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_columns(path, ["id"], [["a", "", "b"]])
+        write_rows(path, ["id"], zip(["a", "", "b"]))
         assert path.read_bytes() == b'id\na\n""\nb\n'
 
     def test_plain_table_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_columns(path, ["x", "y"], [["a", "b"], ["1", "2"]])
+        write_rows(path, ["x", "y"], zip(["a", "b"], ["1", "2"]))
         assert path.read_bytes() == b"x,y\na,1\nb,2\n"
         lines, columns = read_columns(path, 2, header=("x", "y"))
         assert lines.tolist() == [2, 3]
         assert columns == [["a", "b"], ["1", "2"]]
+
+    def test_mixed_cells_as_csv_writer_with_bools_spelled(self, tmp_path):
+        path = tmp_path / "t.csv"
+        # a row of str cells first, so the first other cell comes late
+        rows = [("x", "y", "z", "w"), ("a", True, 1, 0.5), ("b", False, -2, 1e-300),
+                ("c,d", True, 0, 2.0)]
+        write_rows(path, ["s", "b", "i", "f"], rows)
+        spelled = [[("true" if c else "false") if isinstance(c, bool) else c for c in row]
+                   for row in rows]
+        assert path.read_bytes() == csv_text(["s", "b", "i", "f"], spelled).encode("utf-8")
+        assert path.read_bytes() == (
+            b's,b,i,f\nx,y,z,w\na,true,1,0.5\nb,false,-2,1e-300\n"c,d",true,0,2.0\n'
+        )
 
 
 class TestReadFaults:
