@@ -296,15 +296,21 @@ def _write_replacing(writes: dict) -> None:
     """Call each ``write`` of ``writes`` (path -> write) on a temporary file
     beside its path, then, once all have succeeded, rename each into place.
 
-    A write that fails leaves every path as it was; the temporary files are
-    removed whatever happens.
+    A write that fails, or the first rename, leaves every path as it was; a
+    later rename that fails removes every path, so that nothing is left that
+    describes another run.  The temporary files are removed whatever happens.
     """
     tmps = {path: path.with_name(f".{path.name}.tmp") for path in writes}
     try:
         for path, write in writes.items():
             write(tmps[path])
-        for path, tmp in tmps.items():
-            os.replace(tmp, path)
+        for renamed, (path, tmp) in enumerate(tmps.items()):
+            try:
+                os.replace(tmp, path)
+            except OSError:
+                for stale in tmps if renamed else ():
+                    stale.unlink(missing_ok=True)
+                raise
     finally:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)

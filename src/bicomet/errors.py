@@ -3,8 +3,9 @@ class InputError(ValueError):
 
 
 class _RowError(InputError):
-    """An InputError about one row of a table, at index ``row`` of its rows;
-    the loader that read the table turns the index into ``path:line``."""
+    """An InputError about one row of a table, at ``row``: its index among
+    the table's rows, or its line; the loader that read the table turns it
+    into ``path:line``."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, _RowError
-from .table import gather, read_columns, read_rows, write_rows
+from .table import gather, read_column_chunks, read_columns, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +47,12 @@ class BipartiteGraph:
 
     def __init__(self, edges, red_nodes=(), blue_nodes=()):
         pairs = [(str(r), str(b)) for r, b in edges]
-        red_ids, blue_ids = map(list, zip(*pairs)) if pairs else ([], [])
+        ids = list(map(list, zip(*pairs))) if pairs else [[], []]
         self._build(
             *_index_edges(
-                red_ids, blue_ids, list(map(str, red_nodes)), list(map(str, blue_nodes))
+                lambda: [(range(len(pairs)), ids)],
+                list(map(str, red_nodes)),
+                list(map(str, blue_nodes)),
             )
         )
 
@@ -83,12 +85,18 @@ class BipartiteGraph:
             raise InputError("empty graph: no nodes and no edges")
 
         # sorted unique keys red * n_blue + blue: (red, blue) order, no duplicates
-        keys = np.sort(edge_red * n_blue + edge_blue)
-        fresh = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        dropped = keys.size - int(fresh.sum())
-        keys = keys[fresh]
-        edge_red, edge_blue = np.divmod(keys, max(n_blue, 1))
+        keys = edge_red * n_blue + edge_blue
+        if (keys[1:] > keys[:-1]).all():
+            # in that order already; the graph keeps copies it owns
+            dropped = 0
+            edge_red, edge_blue = edge_red.copy(), edge_blue.copy()
+        else:
+            keys.sort()
+            fresh = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            dropped = keys.size - int(fresh.sum())
+            keys = keys[fresh]
+            edge_red, edge_blue = np.divmod(keys, max(n_blue, 1))
         red_deg = np.bincount(edge_red, minlength=n_red).astype(np.int64)
         blue_deg = np.bincount(edge_blue, minlength=n_blue).astype(np.int64)
         for a in (edge_red, edge_blue, red_deg, blue_deg):
@@ -196,45 +204,44 @@ def _index_array(values, side: str, n_nodes: int) -> np.ndarray:
     return values
 
 
-def _index_ids(declared, ids):
-    """One side's node ids in first-appearance order, ``declared`` first, and
-    the index of every id of ``ids`` among them.
+class _Numbering(dict):
+    """Node id -> index, an id it lacks given the next index when looked up."""
 
-    ``declared`` holds no id twice.  When it holds every id of ``ids``, the
-    ids are looked up in it alone.
-    """
-    index = {node: i for i, node in enumerate(declared)}
-    try:
-        return tuple(declared), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-    except KeyError:
-        pass
-    index = {node: i for i, node in enumerate(dict.fromkeys(chain(declared, ids)))}
-    return tuple(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    def __missing__(self, node):
+        self[node] = index = len(self)
+        return index
 
 
-def _index_edges(red_ids, blue_ids, red_declared, blue_declared):
-    """Node tuples and edge index arrays for ``from_indices`` of an edge list
-    given as two id columns, declared ids first.
+def _index_edges(read, red_declared, blue_declared):
+    """Node tuples and edge index arrays for ``from_indices`` of an edge list,
+    declared ids first and every other id in first-appearance order.
 
-    Declared ids are checked as by ``from_indices``.  An empty id, or an id
-    met on both sides, raises _RowError at the first edge holding one, with
-    each edge's red id read before its blue id and declared ids before every
-    edge.
+    ``read()`` yields the edge list chunk by chunk as (keys, (red ids, blue
+    ids)); only the index arrays of a chunk are kept.  Declared ids are
+    checked as by ``from_indices``.  When an id is empty, or met on both
+    sides, ``read()`` is read again and _RowError raised at the key of the
+    first edge holding one, with each edge's red id read before its blue id
+    and declared ids before every edge.
     """
     _check_nodes(red_declared, blue_declared)
-    red_nodes, edge_red = _index_ids(red_declared, red_ids)
-    blue_nodes, edge_blue = _index_ids(blue_declared, blue_ids)
-    if "" in red_nodes or "" in blue_nodes or not set(red_nodes).isdisjoint(blue_nodes):
+    red = _Numbering(zip(red_declared, count()))
+    blue = _Numbering(zip(blue_declared, count()))
+    edge_red, edge_blue = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for _, (red_ids, blue_ids) in read():
+        edge_red.append(np.fromiter(map(red.__getitem__, red_ids), np.int64, len(red_ids)))
+        edge_blue.append(np.fromiter(map(blue.__getitem__, blue_ids), np.int64, len(blue_ids)))
+    if "" in red or "" in blue or not red.keys().isdisjoint(blue):
         # the first faulty id, read in the order the docstring gives
         seen = (set(red_declared), set(blue_declared))
-        for row, pair in enumerate(zip(red_ids, blue_ids)):
-            for side, node in enumerate(pair):
-                if not node:
-                    raise _RowError(row, "empty node identifier in edge")
-                if node in seen[1 - side]:
-                    raise _RowError(row, f"identifier {node!r} appears on both sides")
-                seen[side].add(node)
-    return red_nodes, blue_nodes, edge_red, edge_blue
+        for keys, ids in read():
+            for key, pair in zip(keys, zip(*ids)):
+                for side, node in enumerate(pair):
+                    if not node:
+                        raise _RowError(key, "empty node identifier in edge")
+                    if node in seen[1 - side]:
+                        raise _RowError(key, f"identifier {node!r} appears on both sides")
+                    seen[side].add(node)
+    return tuple(red), tuple(blue), np.concatenate(edge_red), np.concatenate(edge_blue)
 
 
 def load_node_list(path):
@@ -281,14 +288,12 @@ def load_edge_list(path, node_list_path=None) -> BipartiteGraph:
     if node_list_path is not None:
         red_nodes, blue_nodes = load_node_list(node_list_path)
 
-    lines, (red_ids, blue_ids) = read_columns(path, 2)
-    if not lines.size and not red_nodes and not blue_nodes:
-        raise InputError(f"empty graph: {path} has no edges and no declared nodes")
-
     try:
-        indexed = _index_edges(red_ids, blue_ids, red_nodes, blue_nodes)
-    except _RowError as exc:
-        raise InputError(f"{path}:{lines[exc.row]}: {exc}") from exc
+        indexed = _index_edges(lambda: read_column_chunks(path, 2), red_nodes, blue_nodes)
+    except _RowError as exc:  # keyed by line
+        raise InputError(f"{path}:{exc.row}: {exc}") from exc
+    if not indexed[2].size and not red_nodes and not blue_nodes:
+        raise InputError(f"empty graph: {path} has no edges and no declared nodes")
     graph = BipartiteGraph.from_indices(*indexed)
     if graph.duplicates_dropped:
         logger.info(

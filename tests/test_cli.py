@@ -581,6 +581,38 @@ class TestStandaloneWrites:
         if command != "ari":
             assert tree_bytes(tmp_path / "out") != before
 
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("enrich", ["enrichment_records.csv", "enrichment_report.csv"]),
+            ("track", ["links.csv", "evolution.dot", "evolution.json"]),
+        ],
+    )
+    def test_failed_rename_after_the_first_leaves_none_of_the_set(
+        self, workspace, monkeypatch, capsys, command, names
+    ):
+        # one output renamed into place beside the others of the last run
+        # would describe two runs at once
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = tree_bytes(out)
+        assert set(names) <= set(before)
+        real, renamed = os.replace, []
+
+        def second_fails(src, dst):
+            if renamed:
+                raise OSError("disk full")
+            real(src, dst)
+            renamed.append(dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--p-t", "0.5"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        after = tree_bytes(out)
+        assert after == {path: data for path, data in before.items() if path not in names}
+
 
 def tree_digest(root: Path) -> str:
     """SHA-256 over the relative path and the SHA-256 of every file under root."""

@@ -2,6 +2,7 @@
 against a dict/set oracle that interns and deduplicates edge by edge."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ class TestFromIndices:
         graph = BipartiteGraph.from_indices(("r0", "r1"), ("b0",), ri, bi)
         ri[0] = 1
         assert graph.edge_red.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "with duplicates"])
+    def test_edges_are_the_sorted_set_of_pairs(self, order):
+        # sorted input without duplicates is kept as it is, other input sorted
+        rng = np.random.default_rng(len(order))
+        for _ in range(100):
+            n_red, n_blue = rng.integers(1, 9, 2).tolist()
+            pairs = sorted(set(zip(rng.integers(0, n_red, 20).tolist(),
+                                   rng.integers(0, n_blue, 20).tolist())))
+            if order == "unsorted":
+                pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            elif order == "with duplicates":
+                pairs = sorted(pairs + [pairs[i] for i in rng.integers(0, len(pairs), 4)])
+            graph = BipartiteGraph.from_indices(
+                [f"r{i}" for i in range(n_red)], [f"b{i}" for i in range(n_blue)],
+                np.array([r for r, _ in pairs], dtype=np.int64),
+                np.array([b for _, b in pairs], dtype=np.int64),
+            )
+            expected = sorted(set(pairs))
+            assert list(zip(graph.edge_red.tolist(), graph.edge_blue.tolist())) == expected
+            assert graph.duplicates_dropped == len(pairs) - len(expected)
 
     def test_empty_side_and_no_edges(self):
         graph = BipartiteGraph.from_indices(("r0",), (), [], [])
@@ -370,3 +392,54 @@ class TestLoaderErrorLines:
         edges = tmp_path / "e.csv"
         edges.write_text("a,b\n\n , \nc,d,e\n")
         self.check(lambda: load_edge_list(edges), f"{edges}:4: expected 2 fields, got 3")
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestLoaderEqualsOracleInSmallChunks(TestLoaderEqualsOracle):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestLoaderErrorLinesInSmallChunks(TestLoaderErrorLines):
+    pass
+
+
+class TestStreamedLoader:
+    def test_undeclared_ids_first_met_in_later_chunks(self, tmp_path, small_chunks):
+        edges = [("r0", "f0"), ("r1", "f0"), ("r0", "f1"), ("r2", "f2"),
+                 ("r1", "f3"), ("r3", "f0"), ("r4", "f4"), ("r2", "f5")]
+        edge_file, node_file = tmp_path / "e.csv", tmp_path / "n.csv"
+        edge_file.write_text("".join(f"{r},{b}\n" for r, b in edges))
+        node_file.write_text("r2,red\nf3,blue\n")
+        graph = load_edge_list(edge_file, node_list_path=node_file)
+        assert graph.red_nodes == ("r2", "r0", "r1", "r3", "r4")
+        assert graph.blue_nodes == ("f3", "f0", "f1", "f2", "f4", "f5")
+        assert observed(graph) == oracle(edges, ["r2"], ["f3"])
+
+    def test_width_fault_in_a_late_chunk_wins_over_an_id_fault_in_an_early_one(
+        self, tmp_path, small_chunks
+    ):
+        edges = tmp_path / "e.csv"
+        edges.write_text("a,b\nb,c\n,d\n" + "e,f\n" * 30 + "g,h,i\n")
+        with pytest.raises(InputError) as info:
+            load_edge_list(edges)
+        assert str(info.value) == f"{edges}:34: expected 2 fields, got 3"
+
+    def test_transient_memory_per_edge(self, tmp_path):
+        # ids are interned once per node; no cell of the file is held as a
+        # str beyond its chunk
+        rng = np.random.default_rng(3)
+        n_edges = 120_000
+        keys = rng.choice(2_000 * 3_000, n_edges, replace=False)
+        red, blue = np.divmod(keys, 3_000)
+        path = tmp_path / "edges.csv"
+        rows = zip(red.tolist(), blue.tolist())
+        path.write_text("".join(f"r{r:04d},b{b:04d}\n" for r, b in rows))
+        tracemalloc.start()
+        try:
+            graph = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges == n_edges
+        assert peak / n_edges <= 80

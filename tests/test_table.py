@@ -6,7 +6,7 @@ import pytest
 
 from bicomet.errors import InputError
 from bicomet.graph import load_edge_list
-from bicomet.table import int_cells, read_columns, read_rows, write_rows
+from bicomet.table import int_cells, read_column_chunks, read_columns, read_rows, write_rows
 
 
 class TestWriteRows:
@@ -19,6 +19,18 @@ class TestWriteRows:
         path = tmp_path / "t.csv"
         write_rows(path, None, iter([("x", "red")]))
         assert path.read_bytes() == b"x,red\n"
+
+    def test_record_rows_stream_once_the_file_is_open(self, tmp_path):
+        path = tmp_path / "records.csv"
+
+        def rows():
+            yield ("a", 1, True)
+            # a record table is not listed first: the file is open by now
+            assert path.exists()
+            yield ("b", 2.5, False)
+
+        write_rows(path, ["name", "n", "ok"], rows())
+        assert path.read_text() == "name,n,ok\na,1,true\nb,2.5,false\n"
 
 
 class TestReadRows:
@@ -374,6 +386,32 @@ class TestReadFaults:
                 list(read_rows(path))
             path.write_text(f"a\n{'x' * limit}{end}")
             assert list(read_rows(path)) == [(1, ["a"]), (2, ["x" * limit])]
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestPlainTextOracleInSmallChunks(TestPlainTextOracle):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestPaddedCellsOracleInSmallChunks(TestPaddedCellsOracle):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestReadFaultsInSmallChunks(TestReadFaults):
+    pass
+
+
+class TestChunks:
+    def test_chunks_of_whole_lines_number_lines_through(self, tmp_path, small_chunks):
+        path = tmp_path / "t.csv"
+        path.write_text("日本,x\n\nab,cd\n" * 5 + "e,f", encoding="utf-8")
+        chunks = list(read_column_chunks(path, 2))
+        assert len(chunks) > 1
+        lines = np.concatenate([lines for lines, _ in chunks])
+        assert lines.tolist() == [1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16]
+        assert read_columns(path, 2)[1][0] == ["日本", "ab"] * 5 + ["e"]
 
 
 class TestIntCells:
