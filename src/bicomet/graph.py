@@ -85,18 +85,12 @@ class BipartiteGraph:
             raise InputError("empty graph: no nodes and no edges")
 
         # sorted unique keys red * n_blue + blue: (red, blue) order, no duplicates
-        keys = edge_red * n_blue + edge_blue
-        if (keys[1:] > keys[:-1]).all():
-            # in that order already; the graph keeps copies it owns
-            dropped = 0
-            edge_red, edge_blue = edge_red.copy(), edge_blue.copy()
-        else:
-            keys.sort()
-            fresh = np.ones(keys.size, dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-            dropped = keys.size - int(fresh.sum())
-            keys = keys[fresh]
-            edge_red, edge_blue = np.divmod(keys, max(n_blue, 1))
+        keys = np.sort(edge_red * n_blue + edge_blue)
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        dropped = keys.size - int(fresh.sum())
+        keys = keys[fresh]
+        edge_red, edge_blue = np.divmod(keys, max(n_blue, 1))
         red_deg = np.bincount(edge_red, minlength=n_red).astype(np.int64)
         blue_deg = np.bincount(edge_blue, minlength=n_blue).astype(np.int64)
         for a in (edge_red, edge_blue, red_deg, blue_deg):

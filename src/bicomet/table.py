@@ -44,15 +44,8 @@ from .errors import InputError
 _CHUNK_BYTES = 1 << 16
 
 
-def _all_but(kept: bytes) -> bytes:
-    """The bytes that ``bytes.translate`` deletes to keep only ``kept``."""
-    return bytes(sorted(set(range(256)) - set(kept)))
-
-
-_NOT_LINE_OR_COMMA = _all_but(b"\n,")
-# what is left is the ASCII bytes str.strip removes, but the line end, and
-# every byte of a non-ASCII character
-_NOT_STRIPPABLE = _all_but(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f " + bytes(range(0x80, 0x100)))
+# the bytes that bytes.translate deletes to keep only "\n" and ","
+_NOT_LINE_OR_COMMA = bytes(sorted(set(range(256)) - set(b"\n,")))
 
 
 def _read(path) -> bytes:
@@ -125,8 +118,7 @@ def _plain_chunks(data: bytes, bounds: list[int]):
         cells = part.decode("utf-8").replace("\n", ",").split(",")
         if part.endswith(b"\n"):
             cells.pop()
-        if part.translate(None, _NOT_STRIPPABLE):
-            cells = list(map(str.strip, cells))
+        cells = list(map(str.strip, cells))
         yield np.arange(line + 1, line + 1 + counts.size, dtype=np.int64), counts, cells
         line += counts.size
 

@@ -182,27 +182,6 @@ class TestFromIndices:
         ri[0] = 1
         assert graph.edge_red.tolist() == [0, 1]
 
-    @pytest.mark.parametrize("order", ["sorted", "unsorted", "with duplicates"])
-    def test_edges_are_the_sorted_set_of_pairs(self, order):
-        # sorted input without duplicates is kept as it is, other input sorted
-        rng = np.random.default_rng(len(order))
-        for _ in range(100):
-            n_red, n_blue = rng.integers(1, 9, 2).tolist()
-            pairs = sorted(set(zip(rng.integers(0, n_red, 20).tolist(),
-                                   rng.integers(0, n_blue, 20).tolist())))
-            if order == "unsorted":
-                pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-            elif order == "with duplicates":
-                pairs = sorted(pairs + [pairs[i] for i in rng.integers(0, len(pairs), 4)])
-            graph = BipartiteGraph.from_indices(
-                [f"r{i}" for i in range(n_red)], [f"b{i}" for i in range(n_blue)],
-                np.array([r for r, _ in pairs], dtype=np.int64),
-                np.array([b for _, b in pairs], dtype=np.int64),
-            )
-            expected = sorted(set(pairs))
-            assert list(zip(graph.edge_red.tolist(), graph.edge_blue.tolist())) == expected
-            assert graph.duplicates_dropped == len(pairs) - len(expected)
-
     def test_empty_side_and_no_edges(self):
         graph = BipartiteGraph.from_indices(("r0",), (), [], [])
         assert graph.n_edges == 0
