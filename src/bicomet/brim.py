@@ -365,13 +365,12 @@ def brim_step(graph: BipartiteGraph, partition: Partition, side: str) -> Partiti
 def _compact_labels(labels, rank):
     """Communities renumbered gap-free in the order of their smallest member
     id (``rank`` ranks the nodes by id); returns (labels, count)."""
-    # sorted by label, then by rank: each label's first key holds its
-    # smallest member's rank
-    label, first = np.divmod(np.sort(labels * labels.size + rank), max(labels.size, 1))
-    start = np.diff(label, prepend=-1) != 0
-    present, first = label[start], first[start]
-    mapping = np.empty(labels.max(initial=0) + 1, dtype=np.int64)
-    mapping[present[np.argsort(first)]] = np.arange(present.size)
+    # each label's smallest member rank; labels.size marks a label no node has
+    first = np.full(labels.max(initial=0) + 1, labels.size, dtype=np.int64)
+    np.minimum.at(first, labels, rank)
+    present = np.flatnonzero(first < labels.size)
+    mapping = np.empty(first.size, dtype=np.int64)
+    mapping[present[np.argsort(first[present])]] = np.arange(present.size)
     return mapping[labels], present.size
 
 

@@ -13,6 +13,7 @@ All randomness flows through counter-based Philox streams keyed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -165,14 +166,76 @@ def _node_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
 
 
+def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
+    """The sorted int64 positions of the hits among ``cells`` independent
+    Bernoulli(p) cells, in work and memory that grow with the hits alone.
+
+    The gaps between hits are geometric: the misses before a hit are
+    floor(log(V) / log(1 - p)) for V uniform on (0, 1].  Each batch of gaps
+    is sized from the hits still expected, and cumsummed on from the last
+    hit until one lands past the end.
+    """
+    if cells == 0 or p <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1:
+        return np.arange(cells, dtype=np.int64)
+    log_miss = math.log1p(-p)
+    parts, last = [], -1
+    while last < cells:
+        expected = (cells - last) * p
+        gaps = rng.random(int(expected + 4 * math.sqrt(expected)) + 16)
+        np.negative(gaps, out=gaps)
+        np.log1p(gaps, out=gaps)
+        gaps /= log_miss
+        np.floor(gaps, out=gaps)
+        # a gap past the end is clipped, so no sum overflows
+        np.minimum(gaps, cells, out=gaps)
+        hits = gaps.astype(np.int64)
+        hits += 1
+        np.cumsum(hits, out=hits)
+        hits += last
+        last = int(hits[-1])
+        parts.append(hits[: np.searchsorted(hits, cells)])
+    return np.concatenate(parts)
+
+
+def _community_members(membership, alive) -> list[np.ndarray]:
+    """The nodes of each community of the sorted ``alive`` on one side, in
+    node order; empty for a community with no member on that side."""
+    order = np.argsort(membership, kind="stable")
+    return np.split(order, np.searchsorted(membership[order], alive[1:]))
+
+
 def _draw_edges(model, red_membership, blue_membership, rng) -> BipartiteGraph:
-    same = red_membership[:, None] == blue_membership[None, :]
-    probs = np.where(same, model.p_in, model.p_out)
-    hits = rng.random(probs.shape) < probs
+    """One period's graph: each (red, blue) cell an independent draw, at
+    p_in when both ends share a community and at p_out otherwise.
+
+    One sample at p_out runs over all cells, of which the hits across
+    communities are kept; then each alive community, in ascending id, draws
+    its own block of members at p_in.  Every cell is drawn once, and no
+    array of n_red x n_blue cells is made.
+    """
+    n_blue = len(blue_membership)
+    red, blue = np.divmod(
+        _bernoulli_hits(len(red_membership) * n_blue, model.p_out, rng), max(n_blue, 1)
+    )
+    across = red_membership[red] != blue_membership[blue]
+    reds, blues = [red[across]], [blue[across]]
+    alive = np.union1d(red_membership, blue_membership)
+    for red_members, blue_members in zip(
+        _community_members(red_membership, alive), _community_members(blue_membership, alive)
+    ):
+        red, blue = np.divmod(
+            _bernoulli_hits(red_members.size * blue_members.size, model.p_in, rng),
+            max(blue_members.size, 1),
+        )
+        reds.append(red_members[red])
+        blues.append(blue_members[blue])
     return BipartiteGraph.from_indices(
         _node_names("r", len(red_membership)),
-        _node_names("b", len(blue_membership)),
-        *np.nonzero(hits),
+        _node_names("b", n_blue),
+        np.concatenate(reds),
+        np.concatenate(blues),
     )
 
 

@@ -18,14 +18,15 @@ tuple of its columns is therefore written as it is, and a table held as
 columns is written as their ``zip``.
 
 A file is read as bytes once, and checked whole before any row is handed
-on: that it is utf-8, and, when it holds no quote and no carriage return,
-that no cell exceeds the field limit.  Such plain text is then decoded and
-split on "\\n" and "," (what the ``csv`` module would make of it) in chunks
-of whole lines of about ``_CHUNK_BYTES`` each, so no more than one chunk's
-cells are held as strings at a time; any other text, and so every quoted
-cell, goes through ``csv.reader`` as one chunk.  A table of str cells is
-written with one join and one write; a table of records streams through
-``csv.writer``, and a table of str cells that need quoting goes through it.
+on: that it is utf-8, and that no cell exceeds the field limit.  Text that
+holds no quote and no carriage return is then decoded and split on "\\n"
+and "," (what the ``csv`` module would make of it) in chunks of whole lines
+of about ``_CHUNK_BYTES`` each; any other text, and so every quoted cell,
+goes through ``csv.reader`` in chunks of whole records of about as many
+characters.  Either way no more than one chunk's cells are held as strings
+at a time.  A table of str cells is written with one join and one write; a
+table of records streams through ``csv.writer``, and a table of str cells
+that need quoting goes through it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 
 from .errors import InputError
 
-# bytes of whole lines in one chunk of plain text; a longer line is a chunk
+# bytes of whole lines in one chunk of plain text, and about as many
+# characters of whole records through csv.reader; a longer one is a chunk
 _CHUNK_BYTES = 1 << 16
 
 
@@ -123,26 +125,45 @@ def _plain_chunks(data: bytes, bounds: list[int]):
         line += counts.size
 
 
-def _csv_records(path, text: str):
-    """(lines, counts, cells) of any text, as ``_plain_chunks`` yields them,
-    through ``csv.reader``.
+def _csv_records(path, data: bytes):
+    """Yield (lines, counts, cells) of any utf-8 ``data``, as
+    ``_plain_chunks`` yields them, through ``csv.reader``: chunk by chunk,
+    each of whole records whose cells and commas come to about
+    ``_CHUNK_BYTES`` characters, or one longer record.
 
     Records are numbered by their first physical line, so a quoted cell that
-    holds a line break shifts no later number.
+    holds a line break shifts no later number.  Text longer than the field
+    limit is parsed once before the first chunk, so that a fault of the
+    ``csv`` module is raised before any record is handed on.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    lines, rows = [], []
-    line = 1
+
+    def records():
+        return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+    def chunk(lines, rows):
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        cells = [cell.strip() for cell in chain.from_iterable(rows)]
+        return np.array(lines, dtype=np.int64), counts, cells
+
+    reader = records()
     try:
+        if len(data) > csv.field_size_limit():
+            for _ in reader:
+                pass
+            reader = records()
+        lines, rows, size, line = [], [], 0, 1
         for row in reader:
             lines.append(line)
             rows.append(row)
             line = reader.line_num + 1
+            size += len(row) + sum(map(len, row))
+            if size >= _CHUNK_BYTES:
+                yield chunk(lines, rows)
+                lines, rows, size = [], [], 0
     except csv.Error as exc:
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    cells = [cell.strip() for cell in chain.from_iterable(rows)]
-    return np.array(lines, dtype=np.int64), counts, cells
+    if rows:
+        yield chunk(lines, rows)
 
 
 def _drop_header(lines, counts, cells, names):
@@ -169,7 +190,7 @@ def _record_chunks(path, header: tuple[str, ...]):
     data = _read(path)
     # only the csv module reads a quote or a carriage return right
     if b'"' in data or b"\r" in data:
-        chunks = [_csv_records(path, data.decode("utf-8"))]
+        chunks = _csv_records(path, data)
     else:
         bounds = _chunk_bounds(data)
         _check_field_limit(path, data, bounds)

@@ -988,6 +988,29 @@ class TestFixedWorkPerGraph:
             assert count == present.size
             assert np.array_equal(compacted, mapping[labels])
 
+    @pytest.mark.parametrize("shape", ["gaps", "single", "far_above"])
+    def test_compact_labels_match_a_plain_python_reference(self, shape):
+        # labels numbered in the order in which a walk over the nodes by
+        # rank first meets them
+        rng = np.random.default_rng({"gaps": 31, "single": 32, "far_above": 33}[shape])
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            if shape == "gaps":
+                labels = rng.choice(rng.choice(3 * n, size=n), size=n)
+            elif shape == "single":
+                labels = np.full(n, int(rng.integers(0, 5)))
+            else:
+                labels = rng.integers(0, 3, size=n)
+                labels[rng.integers(n)] = 10**6 + int(rng.integers(10**3))
+            rank = rng.permutation(n)
+            by_rank = [int(labels[i]) for i in sorted(range(n), key=lambda i: rank[i])]
+            order = {}
+            for label in by_rank:
+                order.setdefault(label, len(order))
+            compacted, count = brim._compact_labels(labels, rank)
+            assert count == len(order)
+            assert compacted.tolist() == [order[int(label)] for label in labels]
+
     def test_compact_labels_renumber_canonically(self):
         labels, count = brim._compact_labels(np.array([5, 5, 2]), rank_by_id(("r0", "b0", "b1")))
         assert labels.tolist() == [0, 0, 1]

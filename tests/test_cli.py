@@ -625,11 +625,11 @@ def tree_digest(root: Path) -> str:
 
 
 class TestBytePin:
-    # DATA was recorded before table writes moved to one join per table, OUT
-    # when each period's runs became one runs.csv; any writer or reader
-    # change that alters a byte of the dataset or the outputs fails
-    DATA = "ebf5058900b9c47c574e50112f8e47bd6b8e82a61374f5f20cc45102509dc124"
-    OUT = "bdfc6ee006c27d9668789ee4e1eb9dd7bea38dd71c27c11c96478c2e24154b13"
+    # DATA and OUT were recorded when synth came to draw each period's edges
+    # by geometric skips; any writer, reader or sampler change that alters
+    # a byte of the dataset or the outputs fails
+    DATA = "462176f646d93aaa3ff3e12d24402e428bae02914e90148a9eef0468b7e159b5"
+    OUT = "f99c8034f2a5f26a0ae8bf81d0a7194707e6f14e8662f76cc1ed65055bed8da7"
 
     def test_synth_and_pipeline_bytes_are_pinned(self, workspace):
         tmp_path, config = workspace

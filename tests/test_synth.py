@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bicomet.brim import bipartite_modularity, brim_converge, random_partition
 from bicomet.errors import InputError
-from bicomet.graph import load_period_series
+from bicomet.graph import BipartiteGraph, load_period_series
+from bicomet.seeding import STREAM_SYNTH_EDGES, generator
 from bicomet.synth import (
     AttributePlant,
     CategoryPlan,
@@ -13,6 +15,8 @@ from bicomet.synth import (
     PlantedModel,
     SplitEvent,
     TemporalScript,
+    _bernoulli_hits,
+    _draw_edges,
     exhaustive_modularity_oracle,
     generate_catalog,
     generate_graph,
@@ -74,6 +78,77 @@ class TestGenerateGraph:
         graph, truth = generate_graph(model)
         assert graph.red_degrees.sum() == graph.n_edges
         assert set(truth.nodes) == set(graph.red_nodes) | set(graph.blue_nodes)
+
+
+def dense_draw(model, red_membership, blue_membership, rng):
+    """One uniform per (red, blue) cell against a dense probability matrix:
+    the reference distribution of ``_draw_edges``."""
+    same = red_membership[:, None] == blue_membership[None, :]
+    hits = rng.random(same.shape) < np.where(same, model.p_in, model.p_out)
+    return BipartiteGraph.from_indices(
+        [f"r{i}" for i in range(len(red_membership))],
+        [f"b{j}" for j in range(len(blue_membership))],
+        *np.nonzero(hits),
+    )
+
+
+class TestEdgeSampler:
+    # communities 0, 3 and 7 on both sides, 5 with no red member and 9 with
+    # no blue member, listed out of order
+    RED = np.array([3, 0, 9, 3, 7, 0, 9])
+    BLUE = np.array([5, 0, 3, 7, 3, 5, 0, 7])
+
+    @pytest.mark.parametrize("draw", [_draw_edges, dense_draw])
+    def test_every_cell_is_hit_at_its_own_rate(self, draw):
+        model = PlantedModel(communities=((1, 1),), p_in=0.6, p_out=0.15)
+        seeds = 2_000
+        hits = np.zeros((self.RED.size, self.BLUE.size))
+        for seed in range(seeds):
+            graph = draw(model, self.RED, self.BLUE, generator(seed, STREAM_SYNTH_EDGES, 0))
+            assert graph.duplicates_dropped == 0
+            hits[graph.edge_red, graph.edge_blue] += 1
+        p = np.where(self.RED[:, None] == self.BLUE[None, :], model.p_in, model.p_out)
+        sigma = np.sqrt(p * (1 - p) / seeds)
+        assert np.all(np.abs(hits / seeds - p) <= 4.5 * sigma)
+
+    def test_probabilities_zero_and_one_are_exact(self):
+        model = PlantedModel(communities=((1, 1),), p_in=1.0, p_out=0.0)
+        graph = _draw_edges(model, self.RED, self.BLUE, generator(1, STREAM_SYNTH_EDGES, 0))
+        same = self.RED[graph.edge_red] == self.BLUE[graph.edge_blue]
+        assert same.all()
+        assert graph.n_edges == int((self.RED[:, None] == self.BLUE[None, :]).sum())
+
+    def test_hits_are_sorted_distinct_and_in_range(self):
+        rng = np.random.default_rng(4)
+        for cells, p in [(1, 0.5), (7, 0.999), (1000, 0.3), (10**12, 1e-11), (10**15, 1e-300)]:
+            hits = _bernoulli_hits(cells, p, rng)
+            assert hits.dtype == np.int64
+            assert np.all(np.diff(hits) > 0)
+            assert np.all((0 <= hits) & (hits < cells))
+        assert _bernoulli_hits(5, 0.0, rng).size == 0
+        assert _bernoulli_hits(0, 0.5, rng).size == 0
+        assert _bernoulli_hits(5, 1.0, rng).tolist() == [0, 1, 2, 3, 4]
+
+    def test_planted_graphs_have_no_duplicate_draws(self):
+        for seed in range(20):
+            model = PlantedModel(
+                communities=((5, 9), (3, 4), (6, 2)), p_in=0.7, p_out=0.2, seed=seed
+            )
+            graph, _ = generate_graph(model)
+            assert graph.duplicates_dropped == 0
+
+    def test_transient_memory_per_edge(self):
+        # p_out is above 1/50, where a choice of distinct cells would
+        # shuffle an array of every cell
+        model = PlantedModel(communities=((500, 2000),) * 2, p_in=0.05, p_out=0.03, seed=1)
+        tracemalloc.start()
+        try:
+            graph, _ = generate_graph(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges > 100_000
+        assert peak / graph.n_edges <= 120
 
 
 class TestGenerateSequence:

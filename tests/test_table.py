@@ -266,6 +266,46 @@ class TestPaddedCellsOracle:
             assert list(read_rows(path, header=header)) == rows
 
 
+class TestQuotedTextOracle:
+    # quoted cells holding commas, quotes and line ends, under every line end
+    CELLS = ["a", " b ", "", "日本", '"c,d"', '"e""f"', '" g\nh "', '"i\r\nj"', '"k\rl"']
+
+    def random_text(self, rng, width, header):
+        end = ["\r\n", "\n", "\r"][rng.integers(3)] if rng.random() < 0.8 else None
+        lines = []
+        for _ in range(rng.integers(0, 9)):
+            if rng.random() < 0.2:
+                lines.append(str(rng.choice(["", " ", ","])))
+                continue
+            fields = width if rng.random() < 0.8 else int(rng.integers(1, 4))
+            lines.append(",".join(rng.choice(self.CELLS, size=fields)))
+        lines = with_header_line(rng, lines, header)
+        ends = [end or ["\r\n", "\n", "\r"][rng.integers(3)] for _ in lines]
+        text = "".join(line + e for line, e in zip(lines, ends))
+        return text[: -len(ends[-1])] if lines and rng.random() < 0.3 else text
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_read_columns_and_read_rows_equal_the_csv_module(self, tmp_path, width):
+        rng = np.random.default_rng(60 + width)
+        path = tmp_path / "t.csv"
+        for _ in range(300):
+            header = random_header(rng)
+            path.write_text(self.random_text(rng, width, header), encoding="utf-8", newline="")
+            expected = csv_columns(path, width, header)
+            if isinstance(expected, int):
+                with pytest.raises(InputError, match=rf"t\.csv:{expected}: expected {width}"):
+                    read_columns(path, width, header=header)
+            else:
+                lines, columns = read_columns(path, width, header=header)
+                assert (lines.tolist(), columns) == expected
+            rows = [
+                (line, [c.strip() for c in row])
+                for line, row in csv_records(path, header)
+                if any(c.strip() for c in row)
+            ]
+            assert list(read_rows(path, header=header)) == rows
+
+
 class TestWriteColumns:
     """Tables held as columns, written by ``write_rows`` as their zip."""
 
@@ -358,6 +398,14 @@ class TestReadFaults:
         with pytest.raises(InputError, match=r"edges\.csv:3: field larger than field limit"):
             list(read_rows(path))
 
+    def test_field_limit_fault_wins_over_an_earlier_width_fault(self, tmp_path):
+        # the csv module's fault is found before any record is handed on
+        path = tmp_path / "edges.csv"
+        path.write_text('a,b\r\nc,d,e\r\n' + "f,g\r\n" * 20_000 + '"' + "x" * 140_000 + '",h\r\n')
+        for read in (lambda: read_columns(path, 2), lambda: load_edge_list(path)):
+            with pytest.raises(InputError, match=r"edges\.csv:20003: field larger than field limit"):
+                read()
+
     def test_line_longer_than_the_limit_of_short_cells_loads(self, tmp_path):
         limit = csv.field_size_limit()
         path = tmp_path / "edges.csv"
@@ -400,6 +448,16 @@ class TestPaddedCellsOracleInSmallChunks(TestPaddedCellsOracle):
 
 @pytest.mark.usefixtures("small_chunks")
 class TestReadFaultsInSmallChunks(TestReadFaults):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestQuotedTextOracleInSmallChunks(TestQuotedTextOracle):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestPhysicalLineNumbersInSmallChunks(TestPhysicalLineNumbers):
     pass
 
 
