@@ -7,12 +7,18 @@ union population rule.  Every command is deterministic given the
 configuration and master seed, byte for byte, serial or parallel.
 
 Exit codes: 0 success, 1 input or I/O error, 2 internal invariant violation.
+
+One process at a time writes an output directory: each command holds an
+exclusive ``flock`` on the directory it writes, taken where it makes the
+directory, or before it reads one it does not make, and released when
+``main`` returns.  A second writer exits 1 and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import fcntl
 import json
 import logging
 import os
@@ -175,6 +181,41 @@ def _resolve_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
+# the output directories this process holds the writer lock of, as the open
+# descriptor that holds it, by (device, inode): one registry per process,
+# since flocks on two descriptors of one directory conflict even within it
+_held_dirs: dict[tuple[int, int], int] = {}
+
+
+def _lock_output_dir(out: Path) -> None:
+    """Take the writer lock of the directory ``out``, a non-blocking
+    exclusive ``flock`` on its descriptor, unless this process holds it.
+    InputError when another process holds it; nothing when ``out`` is no
+    directory, since no command writes into one it has not made."""
+    try:
+        fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    stat = os.fstat(fd)
+    key = stat.st_dev, stat.st_ino
+    if key in _held_dirs:
+        os.close(fd)
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise InputError(
+            f"output directory {out} is in use by another bicomet process"
+        ) from None
+    _held_dirs[key] = fd
+
+
+def _release_output_dirs() -> None:
+    while _held_dirs:
+        os.close(_held_dirs.popitem()[1])
+
+
 def _partition_dir(partitions: Path, period: str, listed_in) -> Path:
     # period labels become directory names; refuse anything that could
     # escape or nest under the output tree, or that no file name can hold,
@@ -215,6 +256,7 @@ def cmd_detect(cfg: PipelineConfig) -> tuple[list, list]:
     summary_path = out / "run_summary.json"
     counts_path = out / "community_counts.csv"
     out.mkdir(parents=True, exist_ok=True)
+    _lock_output_dir(out)
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
@@ -365,6 +407,7 @@ def cmd_ari(cfg: PipelineConfig, runs=None) -> list[tuple]:
     read from ``partitions/`` when not given.
     """
     out = Path(cfg.output_dir)
+    _lock_output_dir(out)
     if runs is None:
         runs = _load_runs(out)
     rows = []
@@ -405,6 +448,7 @@ def cmd_track(cfg: PipelineConfig, sequence=None) -> tracker.EvolutionGraph:
     it is read from ``partitions/`` when not given.
     """
     out = Path(cfg.output_dir)
+    _lock_output_dir(out)
     if sequence is None:
         sequence = _load_best_sequence(out)
     if len(sequence) < 2:
@@ -454,6 +498,7 @@ def cmd_enrich(cfg: PipelineConfig, sequence=None, catalog=None) -> list[dict]:
     catalog, read from ``cfg.attributes`` when not given.
     """
     out = Path(cfg.output_dir)
+    _lock_output_dir(out)
     if catalog is None:
         if not cfg.attributes:
             raise InputError("enrich requires an attribute catalog (key 'attributes')")
@@ -536,6 +581,9 @@ def cmd_synth(args) -> Path:
     catalog = None
     if plans:
         catalog = synth.generate_catalog(truths[0], plans, seed=cfg.seed, plants=plants)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _lock_output_dir(out)
     manifest = synth.write_synthetic_dataset(
         cfg.output_dir, series, truths, lineage, catalog=catalog
     )
@@ -653,6 +701,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: invariant violations
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _release_output_dirs()
 
 
 if __name__ == "__main__":

@@ -18,15 +18,18 @@ tuple of its columns is therefore written as it is, and a table held as
 columns is written as their ``zip``.
 
 A file is read as bytes once, and checked whole before any row is handed
-on: that it is utf-8, and that no cell exceeds the field limit.  Text that
-holds no quote and no carriage return is then decoded and split on "\\n"
-and "," (what the ``csv`` module would make of it) in chunks of whole lines
-of about ``_CHUNK_BYTES`` each; any other text, and so every quoted cell,
-goes through ``csv.reader`` in chunks of whole records of about as many
-characters.  Either way no more than one chunk's cells are held as strings
-at a time.  A table of str cells is written with one join and one write; a
-table of records streams through ``csv.writer``, and a table of str cells
-that need quoting goes through it.
+on: that it is utf-8, and that no cell exceeds the field limit.  Without a
+quote, a cell ends at a comma or a line end, so the check splits the text
+there; text that holds a quote, or a carriage return and a NUL byte, is
+parsed through ``csv.reader`` once for it instead, when it is longer than the
+limit.  Text that holds no quote and no carriage return is then decoded and
+split on "\\n" and "," (what the ``csv`` module would make of it) in chunks
+of whole lines of about ``_CHUNK_BYTES`` each; any other text, and so every
+quoted cell, goes through ``csv.reader`` in chunks of whole records of about
+as many characters.  Either way no more than one chunk's cells are held as
+strings at a time.  A table of str cells is written with one join and one
+write; a table of records streams through ``csv.writer``, and a table of str
+cells that need quoting goes through it.
 """
 
 from __future__ import annotations
@@ -87,16 +90,23 @@ def _chunk_bounds(data: bytes) -> list[int]:
 
 
 def _check_field_limit(path, data: bytes, bounds: list[int]) -> None:
-    """InputError at ``path:line`` of the first cell of plain text ``data``,
-    cut at ``bounds``, that is longer than the field limit.  No cell is
-    longer than its chunk, so only a chunk longer than the limit is split."""
+    """InputError at ``path:line`` of the first cell of quote-free text
+    ``data``, cut at ``bounds``, that is longer than the field limit in
+    characters.  Lines are numbered as ``csv`` numbers them: each "\\r\\n",
+    "\\n" or other "\\r" ends one.  No cell is longer than its chunk, so only a
+    chunk longer than the limit is split."""
     limit = csv.field_size_limit()
     for start, end in zip(bounds, bounds[1:]):
         if end - start <= limit:
             continue
-        for i, line in enumerate(data[start:end].decode("utf-8").split("\n")):
+        text = data[start:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        for i, line in enumerate(text.split("\n")):
             if len(line) > limit and max(map(len, line.split(","))) > limit:
-                lineno = data.count(b"\n", 0, start) + i + 1
+                # a chunk ends at a "\n", so no "\r\n" straddles its start
+                lineno = (
+                    data.count(b"\n", 0, start) + data.count(b"\r", 0, start)
+                    - data.count(b"\r\n", 0, start) + i + 1
+                )
                 raise InputError(f"{path}:{lineno}: field larger than field limit ({limit})")
 
 
@@ -125,16 +135,17 @@ def _plain_chunks(data: bytes, bounds: list[int]):
         line += counts.size
 
 
-def _csv_records(path, data: bytes):
+def _csv_records(path, data: bytes, parse_first: bool):
     """Yield (lines, counts, cells) of any utf-8 ``data``, as
     ``_plain_chunks`` yields them, through ``csv.reader``: chunk by chunk,
     each of whole records whose cells and commas come to about
     ``_CHUNK_BYTES`` characters, or one longer record.
 
     Records are numbered by their first physical line, so a quoted cell that
-    holds a line break shifts no later number.  Text longer than the field
-    limit is parsed once before the first chunk, so that a fault of the
-    ``csv`` module is raised before any record is handed on.
+    holds a line break shifts no later number.  With ``parse_first``, text
+    longer than the field limit is parsed once before the first chunk, so
+    that a fault of the ``csv`` module is raised before any record is handed
+    on.
     """
 
     def records():
@@ -147,7 +158,7 @@ def _csv_records(path, data: bytes):
 
     reader = records()
     try:
-        if len(data) > csv.field_size_limit():
+        if parse_first and len(data) > csv.field_size_limit():
             for _ in reader:
                 pass
             reader = records()
@@ -188,13 +199,20 @@ def _record_chunks(path, header: tuple[str, ...]):
     ``_plain_chunks`` yields them.  The whole file is checked before the
     first chunk."""
     data = _read(path)
-    # only the csv module reads a quote or a carriage return right
-    if b'"' in data or b"\r" in data:
-        chunks = _csv_records(path, data)
+    # only the csv module reads a quote or a carriage return right; in text
+    # with neither a quote nor a NUL byte (which the csv module of Python
+    # 3.10 rejects), an over-long cell is the one fault it can raise, and
+    # that is found before any record is handed on without it
+    carriage_return = b"\r" in data
+    if b'"' in data or (carriage_return and b"\0" in data):
+        chunks = _csv_records(path, data, parse_first=True)
     else:
         bounds = _chunk_bounds(data)
         _check_field_limit(path, data, bounds)
-        chunks = _plain_chunks(data, bounds)
+        if carriage_return:
+            chunks = _csv_records(path, data, parse_first=False)
+        else:
+            chunks = _plain_chunks(data, bounds)
     for lines, counts, cells in chunks:
         lines, counts, cells, header = _drop_header(lines, counts, cells, header)
         yield lines, counts, cells

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import logging
@@ -535,6 +536,40 @@ class TestPipeline:
         serial = tree_bytes(tmp_path / "out")
         assert main(["detect", "--config", str(config), "--workers", "3"]) == 0
         assert tree_bytes(tmp_path / "out") == serial
+
+
+class TestOneWriterPerDirectory:
+    """A command run while another process holds its output directory's
+    lock exits 1 and leaves the directory as it was."""
+
+    @staticmethod
+    def hold(path: Path) -> int:
+        # an flock on another descriptor conflicts even within one process
+        fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fd
+
+    def test_second_writer_exits_1_and_writes_nothing(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["pipeline", "--config", str(config)]) == 0
+        commands = ("detect", "ari", "track", "enrich", "pipeline")
+        runs = [(tmp_path / "out", command) for command in commands]
+        runs.append((tmp_path / "data", "synth"))
+        for directory, command in runs:
+            before = tree_bytes(directory), sorted(os.listdir(directory))
+            capsys.readouterr()
+            fd = self.hold(directory)
+            try:
+                assert main([command, "--config", str(config)]) == 1, command
+            finally:
+                os.close(fd)
+            err = capsys.readouterr().err
+            assert f"output directory {directory.name} is in use by another bicomet process" in err
+            assert (tree_bytes(directory), sorted(os.listdir(directory))) == before, command
+        # pipeline's stages run under the lock its detect took, and main
+        # releases it on return
+        assert main(["pipeline", "--config", str(config)]) == 0
+        os.close(self.hold(tmp_path / "out"))
 
 
 class TestStandaloneWrites:

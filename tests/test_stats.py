@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -343,10 +344,140 @@ class TestOverlapTests:
                     assert p_values[i][j] == p, (i, j)
                     if not x:
                         assert p_values[i][j] == 1.0
-            # one kernel call per non-empty cell, none for an empty one
-            nonzero = sum(1 for row in expected for x in row if x)
-            assert len(calls) == nonzero
-            assert all(x > 0 for x, _ in calls)
+            # the cells are walked as arrays, with no per-cell kernel call
+            assert calls == []
+
+
+def walk(x, n, m, k):
+    """(side, terms) of the tail ``overlap_pvalue`` sums for P(X >= x): its
+    side of the mean and the number of terms, the first included; (None, 0)
+    when x lies at or below the support floor and p is 1."""
+    lo, hi = HypergeomParams(n, m, k).support()
+    if x <= lo:
+        return None, 0
+    upper = x * n > k * m
+    v = x if upper else x - 1
+    term, terms = 1.0, 1
+    while v < hi if upper else v > lo:
+        if upper:
+            term *= (m - v) * (k - v) / ((v + 1) * (n - m - k + v + 1))
+        else:
+            term *= v * (n - m - k + v) / ((m - v + 1) * (k - v + 1))
+        if term < stats._TAIL_STOP:
+            break
+        terms += 1
+        v += 1 if upper else -1
+    return ("upper" if upper else "lower"), terms
+
+
+def crosstab(rng, n):
+    """Row and column labels of ``n`` items, the row and column sizes with a
+    label of size 0 on each side, and the population: ``n`` or more."""
+    n_rows, n_cols = (int(v) for v in rng.integers(2, 7, size=2))
+    rows = rng.choice(n_rows, size=n, p=rng.dirichlet(np.ones(n_rows)))
+    cols = rng.choice(n_cols, size=n, p=rng.dirichlet(np.ones(n_cols)))
+    # items that share their labels lift some cells far above the mean
+    shared = rng.random(n) < rng.uniform(0.0, 0.8)
+    cols[shared] = rows[shared] % n_cols
+    # column n_cols lies whole in row 0: a cell at the top of its support
+    whole = rng.random(n) < 0.02
+    rows[whole], cols[whole] = 0, n_cols
+    floor = rng.random() < 0.3
+    if floor:
+        # column 0 takes every item outside row 0, so cell (0, 0) sits at
+        # its support floor max(0, m + k - N)
+        cols[rows != 0] = 0
+    marked = np.bincount(rows, minlength=n_rows + 1).tolist()
+    drawn = np.bincount(cols, minlength=n_cols + 2).tolist()
+    population = n if floor else n + int(rng.integers(0, n // 2))
+    return rows, cols, marked, drawn, population
+
+
+class TestOverlapTestsKernel:
+    def test_long_walks_equal_the_per_cell_kernel(self):
+        # walks longer than a block on both sides of the mean, cells at and
+        # below a support floor above 0, cells at the top of their support,
+        # and rows and columns of size 0, for N from 1000 to 5000
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(40):
+            rows, cols, marked, drawn, population = crosstab(
+                rng, int(rng.integers(1000, 5001))
+            )
+            overlaps, p_values = stats.overlap_tests(rows, cols, marked, drawn, population)
+            for i, (m, row) in enumerate(zip(marked, overlaps)):
+                for j, (k, x) in enumerate(zip(drawn, row)):
+                    params = HypergeomParams(population, m, k)
+                    assert p_values[i][j] == overlap_pvalue(x, params), (i, j)
+                    side, terms = walk(x, population, m, k)
+                    lo, hi = params.support()
+                    seen.add((side, terms > 2 * stats._BLOCK))
+                    seen.update(
+                        name for name, hit in (
+                            ("empty row", m == 0), ("empty column", k == 0),
+                            ("x <= lo > 0", 0 < x <= lo),
+                            ("x > lo > 0", x > lo > 0), ("x == hi", x == hi > lo),
+                        ) if hit
+                    )
+        assert seen >= {
+            ("upper", True), ("lower", True), "empty row", "empty column",
+            "x <= lo > 0", "x > lo > 0", "x == hi",
+        }
+
+    @pytest.mark.parametrize(
+        "marked,drawn,population",
+        [
+            ([3, 11], [7, 5], 10),   # successes above the population
+            ([3, 9], [-1, 5], 10),   # negative draws
+            ([3, 1], [2, 2], 12),    # overlap above min(successes, draws)
+            ([3, 9], [7, 5], -1),    # negative population
+        ],
+    )
+    def test_invalid_sizes_raise_at_the_first_faulty_cell(self, marked, drawn, population):
+        rows = np.array([0, 0, 1, 1, 1, 1])
+        cols = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(ValueError) as raised:
+            stats.overlap_tests(rows, cols, marked, drawn, population)
+        # the message of the per-cell call at the first faulty non-empty
+        # cell in row-major order
+        for i, j, x in ((0, 0, 2), (1, 0, 1), (1, 1, 3)):
+            try:
+                overlap_pvalue(x, HypergeomParams(population, marked[i], drawn[j]))
+            except ValueError as exc:
+                assert str(raised.value) == str(exc)
+                break
+        else:
+            pytest.fail("no cell is faulty")
+
+    def test_memory_holds_one_block_of_steps_per_cell(self):
+        # 1 + 20 row and column communities of 5000 items: the large pair
+        # walks for over a hundred terms where its support allows over a
+        # thousand steps, the small ones for a few.  No walk's length is known
+        # before it is taken, so a float64 array of every step the supports
+        # allow would take 8 bytes per step for every walking cell; the whole
+        # call holds less than that one array
+        rng = np.random.default_rng(22)
+        sizes = [2500] + [125] * 20
+        rows = rng.permutation(np.repeat(np.arange(21), sizes))
+        cols = rng.permutation(np.repeat(np.arange(21), sizes))
+        stats.overlap_tests(rows, cols, sizes, sizes, 5000)
+        tracemalloc.start()
+        try:
+            overlaps, _ = stats.overlap_tests(rows, cols, sizes, sizes, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        walks, steps = [], []
+        for m, row in zip(sizes, overlaps):
+            for k, x in zip(sizes, row):
+                side, terms = walk(x, 5000, m, k)
+                lo, hi = HypergeomParams(5000, m, k).support()
+                if side is not None:
+                    walks.append(terms)
+                    steps.append(hi - x if side == "upper" else x - 1 - lo)
+        assert max(walks) > 12 * stats._BLOCK
+        assert max(steps) > 1000
+        assert peak < len(steps) * max(steps) * 8, (peak, len(steps), max(steps))
 
 
 class TestBonferroni:

@@ -435,6 +435,78 @@ class TestReadFaults:
             path.write_text(f"a\n{'x' * limit}{end}")
             assert list(read_rows(path)) == [(1, ["a"]), (2, ["x" * limit])]
 
+    @staticmethod
+    def csv_fault(path):
+        """``path:line: message`` of the first fault csv.reader raises in the
+        file at ``path``, at the line it counts, or None."""
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                for _ in reader:
+                    pass
+            except csv.Error as exc:
+                return f"{path}:{reader.line_num}: {exc}"
+        return None
+
+    def test_oversized_cell_in_carriage_return_text_names_the_csv_line(self, tmp_path):
+        # quote-free text under mixed line ends, with cells of exactly the
+        # limit in characters that are longer in bytes, blank lines, and one
+        # or two cells over the limit anywhere
+        limit = csv.field_size_limit()
+        rng = np.random.default_rng(70)
+        path = tmp_path / "edges.csv"
+        for _ in range(12):
+            lines = [str(rng.choice(["a,b", "日本,c", "", " , ", "d,e"])) for _ in range(8)]
+            for _ in range(int(rng.integers(0, 3))):
+                lines[rng.integers(8)] = "é" * limit + ",f"
+            for _ in range(int(rng.integers(1, 3))):
+                cell = str(rng.choice(["x", "é"])) * (limit + 1)
+                lines[rng.integers(8)] = f"g,{cell}" if rng.random() < 0.5 else f"{cell},g"
+            ends = [str(rng.choice(["\r\n", "\n", "\r"])) for _ in lines]
+            ends[rng.integers(8)] = "\r"
+            text = "".join(line + end for line, end in zip(lines, ends))
+            path.write_text(text[: -len(ends[-1])] if rng.random() < 0.3 else text,
+                            encoding="utf-8", newline="")
+            expected = self.csv_fault(path)
+            assert "field larger than field limit" in expected
+            for read in (lambda: read_columns(path, 2), lambda: list(read_rows(path)),
+                         lambda: load_edge_list(path)):
+                with pytest.raises(InputError) as raised:
+                    read()
+                assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("nul_first", [True, False])
+    def test_nul_byte_in_carriage_return_text_fails_as_csv_reader(self, tmp_path, nul_first):
+        # the csv module of Python 3.10 rejects a NUL byte; later ones read it
+        limit = csv.field_size_limit()
+        path = tmp_path / "edges.csv"
+        lines = ["a,b", "c,d\0", "x" * (limit + 1) + ",e", "f,g"]
+        if not nul_first:
+            lines[1:3] = lines[2:0:-1]
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        expected = self.csv_fault(path)
+        for read in (lambda: read_columns(path, 2), lambda: list(read_rows(path))):
+            with pytest.raises(InputError) as raised:
+                read()
+            assert str(raised.value) == expected
+
+    def test_long_crlf_text_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "edges.csv"
+        path.write_text("r0,f0\r\nr1,f1\r\n" * 10_000, encoding="utf-8", newline="")
+        assert path.stat().st_size > csv.field_size_limit()
+        expected = csv_columns(path, 2, ())
+        passes = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counted)
+        lines, columns = read_columns(path, 2)
+        assert (lines.tolist(), columns) == expected
+        assert len(passes) == 1
+
 
 @pytest.mark.usefixtures("small_chunks")
 class TestPlainTextOracleInSmallChunks(TestPlainTextOracle):
